@@ -295,13 +295,14 @@ func BenchmarkServeThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
 			sg := pipeline.NewShardedGallery(s.GallerySNS1, shards)
-			sg.Classify(p, s.SNS2.Samples[0].Image) // build the shard split outside the timing
+			ctx := context.Background()
+			sg.ClassifyStatsCtx(ctx, p, s.SNS2.Samples[0].Image) // build the shard split outside the timing
 			b.ResetTimer()
 			start := time.Now()
 			n := 0
 			for i := 0; i < b.N; i++ {
 				for _, q := range s.SNS2.Samples {
-					sg.Classify(p, q.Image)
+					sg.ClassifyStatsCtx(ctx, p, q.Image)
 					n++
 				}
 			}
@@ -646,54 +647,35 @@ func BenchmarkAblationKNNVote(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatcherANN compares brute-force matching against the
-// KD-tree approximate matcher (the paper's FLANN remark: no gains at
-// this data scale).
+// BenchmarkAblationMatcherANN compares the exact flat scan against the
+// IVF approximate index over one prepared gallery index — SIFT over the
+// SNS1 gallery (the paper's FLANN remark: no gains at this data scale).
+// The SNS2 query sets are extracted outside the timing, so each
+// iteration is pure GoodMatchCounts work over every query.
 func BenchmarkAblationMatcherANN(b *testing.B) {
-	r := rng.New(77)
-	const n, dim = 400, 64
-	descs := make([][]float32, n)
-	for i := range descs {
-		d := make([]float32, dim)
-		for j := range d {
-			d[j] = float32(r.Float64())
-		}
-		descs[i] = d
+	s := getBenchSuite(b)
+	params := pipeline.DefaultDescriptorParams()
+	ix := s.GallerySNS1.DescriptorIndexFor(pipeline.SIFT, params)
+	queries := make([]*features.Set, len(s.SNS2.Samples))
+	for i, q := range s.SNS2.Samples {
+		queries[i] = pipeline.ExtractDescriptors(q.Image, pipeline.SIFT, params)
 	}
-	queries := make([][]float32, 50)
-	for i := range queries {
-		d := make([]float32, dim)
-		for j := range d {
-			d[j] = float32(r.Float64())
-		}
-		queries[i] = d
-	}
-	b.Run("bruteforce", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				best := float32(1e30)
-				for _, t := range descs {
-					var sum float32
-					for k := range q {
-						d := q[k] - t[k]
-						sum += d * d
-					}
-					if sum < best {
-						best = sum
-					}
+	counts := make([]int32, ix.NumViews)
+	for _, bc := range []struct {
+		name string
+		mi   pipeline.MatchIndex
+	}{
+		{"flat", ix},
+		{"ivf", pipeline.NewIVFIndex(ix, pipeline.IVFParams{})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					bc.mi.GoodMatchCounts(q, annRatio, counts)
 				}
 			}
-		}
-	})
-	b.Run("kdtree", func(b *testing.B) {
-		tree := match.NewKDTree(descs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				tree.Search(q, 1, 64)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationXCorrWindow sweeps the Normalized-X-Corr search
@@ -855,10 +837,9 @@ const annRatio = 0.5
 // default-setting ANN backend over the same 440-view gallery, and
 // reports the backend's recall@1 against the flat argmax plus its
 // measured single-worker speedup. The flat sub-benches are the
-// baseline rows; mih/ivf rows carry the recall and speedup metrics the
-// CI smoke gates on (ivf/SIFT is the gating row — SIFT is the paper's
-// primary descriptor, and low-entropy synthetic ORB codes keep the
-// flat Hamming scan competitive with any bucketed probe).
+// baseline rows; ivf rows carry the recall and speedup metrics
+// (ivf/SIFT is the headline row — SIFT is the paper's primary
+// descriptor; ivf/ORB is reported as measured and gates nothing).
 //
 // Each timed iteration is a full pass over all queries, so ns/op (and
 // the flat-vs-ANN ratio) is stable at small -benchtime counts instead
@@ -901,15 +882,9 @@ func BenchmarkANNRecall(b *testing.B) {
 		b.Run("flat/"+kind.String(), func(b *testing.B) {
 			flatNs = time1(b, ix, kind)
 		})
-		var ann pipeline.MatchIndex
-		var name string
-		if kind == pipeline.ORB {
-			ann, name = pipeline.NewMIHIndex(ix, pipeline.MIHParams{}), "mih"
-		} else {
-			ann, name = pipeline.NewIVFIndex(ix, pipeline.IVFParams{}), "ivf"
-		}
+		ann := pipeline.NewIVFIndex(ix, pipeline.IVFParams{})
 		rec := recall(ann, kind)
-		b.Run(name+"/"+kind.String(), func(b *testing.B) {
+		b.Run("ivf/"+kind.String(), func(b *testing.B) {
 			annNs := time1(b, ann, kind)
 			b.ReportMetric(rec, "recall")
 			if annNs > 0 && flatNs > 0 {

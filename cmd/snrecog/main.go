@@ -56,7 +56,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   snrecog sheet -dir DIR [-size N] [-seed N]     render class sample sheets
   snrecog stats [-cap N]                         print Table 1 statistics
-  snrecog classify -class NAME [-pipeline P] [-mode shapenet|nyu] [-model N] [-view N] [-workers N] [-snapshot FILE] [-mmap] [-index exact|mih|ivf]
+  snrecog classify -class NAME [-pipeline P] [-mode shapenet|nyu] [-model N] [-view N] [-workers N] [-snapshot FILE] [-mmap] [-index exact|ivf]
       pipelines: random, shape, color, hybrid, sift, surf, orb
   snrecog scene [-classes A,B,C] [-pipeline P] [-occlusion F] [-noise F] [-clutter N] [-seed N] [-out FILE] [-workers N]
       compose a multi-object scene and run detect-then-classify on it

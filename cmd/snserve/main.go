@@ -17,7 +17,7 @@
 // daemon without extra wiring. The optional admin port (-admin, always
 // bound to 127.0.0.1) carries the same /metrics and /statz plus the
 // net/http/pprof profiling handlers — profiling never rides the public
-// listener. -pprof PORT remains as a deprecated alias for -admin PORT.
+// listener.
 //
 // Endpoints (serving mux):
 //
@@ -38,7 +38,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	_ "net/http/pprof" // registers profiling handlers on the default mux, served only on -pprof
+	_ "net/http/pprof" // registers profiling handlers on the default mux, served only on -admin
 	"os"
 	"os/signal"
 	"strings"
@@ -79,7 +79,6 @@ func main() {
 	ratio := fs.Float64("ratio", 0.5, "descriptor ratio-test threshold")
 	maxRegions := fs.Int("max-regions", 32, "region proposals classified per /detect scene")
 	adminPort := fs.Int("admin", 0, "serve the admin mux (/metrics, /statz, /debug/pprof/) on 127.0.0.1:PORT (0 disables)")
-	pprofPort := fs.Int("pprof", 0, "deprecated alias for -admin")
 	slowlogMS := fs.Int("slowlog-ms", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline for /classify and /detect; expired requests get 504 with their partial stage trace (0 disables)")
 	faults := fs.String("faults", os.Getenv(fault.EnvVar),
@@ -165,9 +164,6 @@ func main() {
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
-	if *adminPort == 0 {
-		*adminPort = *pprofPort // deprecated alias
-	}
 	if *adminPort > 0 {
 		// The admin mux stays loopback-only and off the serving listener:
 		// metrics and statz for local inspection, plus the pprof handlers

@@ -6,12 +6,14 @@
 // takes the context.
 //
 // The granularity mirrors the house style set by the descriptor
-// pipeline: checkpoints sit at stage and shard boundaries
-// (classifyOn's ctxErr between stages, goodMatchCountsCtx's per-shard
-// ctx.Err inside the parallel.ForEach closure), while the inner scan
-// kernels run straight-line with no checks. Accordingly the analyzer
-// checks only the outermost loop of each nest — once a loop
-// checkpoints, the kernels inside it are its business — and treats
+// pipeline: checkpoints sit at stage boundaries (classifyOn's ctx.Err
+// before extraction), at shard boundaries (ShardedIndex.scanSpan's
+// ctx.Err, reached from the parallel.ForEach closure), and once per
+// query descriptor in the scan kernels — the flat and IVF kernels take
+// ctx, so their outermost query loop must check it — while the
+// per-row distance loops inside run straight-line. Accordingly the
+// analyzer checks only the outermost loop of each nest — once a loop
+// checkpoints, the loops inside it are its business — and treats
 // every function literal handed to the parallel package as its own
 // span, because that closure IS the shard scan and deadline expiry
 // must skip remaining shards, not just remaining calls.

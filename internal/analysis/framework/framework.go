@@ -137,8 +137,8 @@ func IsNamed(t types.Type, pkgName, typeName string) bool {
 }
 
 // FuncLabel renders a function or method name for diagnostics:
-// "Classify" for plain functions, "(*DescriptorIndex).GoodMatchCounts"
-// for methods.
+// "Classify" for plain functions, "(*DescriptorIndex).Scan" for
+// methods.
 func FuncLabel(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if ok && sig.Recv() != nil {

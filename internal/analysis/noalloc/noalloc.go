@@ -18,7 +18,8 @@
 //   - &T{...} composite literals (heap-escaping pointers)
 //   - string <-> []byte / []rune conversions (copying conversions)
 //   - function literals (the closure environment allocates; hoist to a
-//     named function or method — the matchCounter idiom)
+//     named function or method — the single-span ShardedIndex.Scan
+//     calls its per-span method inline, never the fan-out closure)
 //   - interface boxing of non-pointer values at call sites (pointers
 //     fit the interface word; values are heap-boxed)
 //

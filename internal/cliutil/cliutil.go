@@ -150,27 +150,20 @@ func SaveSnapshot(path string, meta snapshot.Meta, g *pipeline.Gallery) error {
 // one value per knob, registered by RegisterIndexFlags and resolved to
 // a pipeline.IndexSpec by Resolve after fs.Parse.
 type IndexFlags struct {
-	Kind         *string
-	MIHBits      *int
-	MIHRadius    *int
-	MIHBucketCap *int
-	IVFNLists    *int
-	IVFNProbe    *int
+	Kind      *string
+	IVFNLists *int
+	IVFNProbe *int
 }
 
 // RegisterIndexFlags registers the matching-backend selection flags
 // shared by every binary that builds or serves galleries: -index picks
 // the backend, the rest tune it. Defaults mirror the library defaults
-// (exact scan; MIH 16-bit substrings at radius 1; IVF auto nlists,
-// nprobe 8).
+// (exact scan; IVF auto nlists, nprobe 8).
 func RegisterIndexFlags(fs *flag.FlagSet) *IndexFlags {
 	return &IndexFlags{
-		Kind:         fs.String("index", "exact", "matching index backend: exact, mih (binary/ORB only) or ivf (any descriptor family)"),
-		MIHBits:      fs.Int("mih-bits", 0, "mih substring width in bits (0 = default 16; must divide 64, max 16)"),
-		MIHRadius:    fs.Int("mih-radius", 0, "mih per-substring Hamming probe radius (0 = default 1; >= mih-bits probes exhaustively = exact)"),
-		MIHBucketCap: fs.Int("mih-bucketcap", 0, "mih stop-bucket threshold: drop buckets larger than this (0 = off; capping costs recall on low-entropy codes)"),
-		IVFNLists:    fs.Int("ivf-nlists", 0, "ivf coarse list count (0 = auto ~2*sqrt(rows))"),
-		IVFNProbe:    fs.Int("ivf-nprobe", 0, "ivf lists scanned per query descriptor (0 = default 8; >= nlists scans all = exact)"),
+		Kind:      fs.String("index", "exact", "matching index backend: exact or ivf (any descriptor family)"),
+		IVFNLists: fs.Int("ivf-nlists", 0, "ivf coarse list count (0 = auto ~2*sqrt(rows))"),
+		IVFNProbe: fs.Int("ivf-nprobe", 0, "ivf lists scanned per query descriptor (0 = default 8; >= nlists scans all = exact)"),
 	}
 }
 
@@ -182,7 +175,6 @@ func (f *IndexFlags) Resolve() (pipeline.IndexSpec, error) {
 	}
 	spec := pipeline.IndexSpec{
 		Kind: kind,
-		MIH:  pipeline.MIHParams{SubstrBits: *f.MIHBits, Radius: *f.MIHRadius, BucketCap: *f.MIHBucketCap},
 		IVF:  pipeline.IVFParams{NLists: *f.IVFNLists, NProbe: *f.IVFNProbe},
 	}
 	if err := spec.Validate(); err != nil {

@@ -49,8 +49,9 @@ const (
 	// the submission (the HTTP layer maps it to 503 + Retry-After).
 	BatcherEnqueue
 	// ShardScan guards the per-shard index scan. Latency stretches a
-	// scan mid-batch; error and panic both surface as a panic there (a
-	// scan has no error return), exercising the per-request recovery.
+	// scan mid-batch; error and panic both surface as a panic there
+	// (the scan's error return is reserved for the context's error),
+	// exercising the per-request recovery.
 	ShardScan
 	// Swap guards registry gallery replacement: an armed error fails the
 	// swap before it is applied, latency widens the swap window.

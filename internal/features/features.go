@@ -328,16 +328,3 @@ func HammingWords(a, b []uint64) int {
 	}
 	return n
 }
-
-// SubBits extracts the width-bit substring starting at bit offset off
-// from a word-packed binary row (little-endian bit order, matching
-// packWords). width must be a divisor of 64 so a substring never spans
-// a word boundary — the layout multi-index hashing relies on to key
-// hash buckets straight off the packed words without re-assembly.
-func SubBits(row []uint64, off, width uint) uint64 {
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = (uint64(1) << width) - 1
-	}
-	return (row[off/64] >> (off % 64)) & mask
-}

@@ -1,6 +1,5 @@
 // Package match implements descriptor matching: brute-force kNN with L2
-// or Hamming distance, Lowe's ratio test, cross-checking, and a KD-tree
-// approximate matcher standing in for FLANN in the ablation benches.
+// or Hamming distance, Lowe's ratio test and cross-checking.
 //
 // The brute-force kernels are allocation-free in steady state: distances
 // are compared in the squared (L2) or integer (Hamming) domain with the
@@ -287,4 +286,11 @@ func GoodMatchCount(query, train *features.Set, ratio float64) int {
 		}
 	}
 	return count
+}
+
+func sqrt32(v float32) float32 {
+	if v <= 0 {
+		return 0
+	}
+	return float32(math.Sqrt(float64(v)))
 }

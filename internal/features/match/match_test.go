@@ -304,99 +304,3 @@ func TestGoodMatchCountAllocationFree(t *testing.T) {
 		t.Errorf("binary GoodMatchCount allocates %v per run", n)
 	}
 }
-
-func TestKDTreeSetSharesPackedStorage(t *testing.T) {
-	r := rng.New(31)
-	s := randomFloatSet(r, 40, 8, 100).Pack()
-	tree := NewKDTreeSet(s)
-	if tree == nil {
-		t.Fatal("nil tree from packed set")
-	}
-	q := make([]float32, 8)
-	for j := range q {
-		q[j] = float32(r.Intn(100))
-	}
-	bf := KNN(floatSet(q), s, 3)[0]
-	kd := tree.Search(q, 3, 0)
-	for i := range kd {
-		if math.Float32bits(kd[i].Distance) != math.Float32bits(bf[i].Distance) {
-			t.Errorf("rank %d: kd %v vs bf %v", i, kd[i].Distance, bf[i].Distance)
-		}
-	}
-	if NewKDTreeSet(&features.Set{}) != nil {
-		t.Error("empty set should build nil tree")
-	}
-	if NewKDTreeSet(randomBinarySet(r, 3, 4, 9)) != nil {
-		t.Error("binary set should build nil tree")
-	}
-}
-
-func TestKDTreeExactAgreesWithBruteForce(t *testing.T) {
-	r := rng.New(11)
-	var descs [][]float32
-	for i := 0; i < 100; i++ {
-		d := make([]float32, 8)
-		for j := range d {
-			d[j] = float32(r.Float64() * 10)
-		}
-		descs = append(descs, d)
-	}
-	tree := NewKDTree(descs)
-	train := floatSet(descs...)
-	for trial := 0; trial < 20; trial++ {
-		q := make([]float32, 8)
-		for j := range q {
-			q[j] = float32(r.Float64() * 10)
-		}
-		bf := KNN(floatSet(q), train, 3)[0]
-		kd := tree.Search(q, 3, 0)
-		if len(kd) != 3 {
-			t.Fatalf("kd results = %d", len(kd))
-		}
-		for i := range kd {
-			if math.Abs(float64(kd[i].Distance-bf[i].Distance)) > 1e-4 {
-				t.Errorf("trial %d rank %d: kd %v vs bf %v", trial, i, kd[i].Distance, bf[i].Distance)
-			}
-		}
-	}
-}
-
-func TestKDTreeBoundedChecksStillReasonable(t *testing.T) {
-	r := rng.New(13)
-	var descs [][]float32
-	for i := 0; i < 500; i++ {
-		d := make([]float32, 8)
-		for j := range d {
-			d[j] = float32(r.Float64())
-		}
-		descs = append(descs, d)
-	}
-	tree := NewKDTree(descs)
-	train := floatSet(descs...)
-	agree := 0
-	const trials = 30
-	for trial := 0; trial < trials; trial++ {
-		q := make([]float32, 8)
-		for j := range q {
-			q[j] = float32(r.Float64())
-		}
-		bf := KNN(floatSet(q), train, 1)[0][0]
-		kd := tree.Search(q, 1, 50) // bounded: approximate
-		if len(kd) == 1 && kd[0].TrainIdx == bf.TrainIdx {
-			agree++
-		}
-	}
-	if agree < trials/2 {
-		t.Errorf("approximate search agreed only %d/%d times", agree, trials)
-	}
-}
-
-func TestKDTreeNilAndEmpty(t *testing.T) {
-	if NewKDTree(nil) != nil {
-		t.Error("empty tree should be nil")
-	}
-	var tree *KDTree
-	if got := tree.Search([]float32{1}, 3, 0); got != nil {
-		t.Errorf("nil tree search = %v", got)
-	}
-}

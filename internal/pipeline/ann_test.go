@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,10 +11,6 @@ import (
 	"snmatch/internal/parallel"
 	"snmatch/internal/rng"
 )
-
-// fullProbeMIH is an MIH spec whose radius covers the whole substring:
-// the backend must delegate to the flat kernel and be bit-identical.
-var fullProbeMIH = IndexSpec{Kind: MIHKind, MIH: MIHParams{SubstrBits: 16, Radius: 16}}
 
 // fullProbeIVF probes more lists than any gallery builds: bit-identical
 // delegation to the flat kernel.
@@ -34,8 +32,9 @@ func randGallerySets(r *rng.RNG, nViews int, binary bool, vocab int) []*features
 }
 
 // TestFullProbeBitIdenticalToFlat is the house determinism contract for
-// both backends: at full-probe settings, counts must equal the flat
-// scan bit for bit — directly and through every sharded fan-out width.
+// the IVF backend over both row representations: at full-probe
+// settings, counts must equal the flat scan bit for bit — directly and
+// through every sharded fan-out width.
 func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 	r := rng.New(977)
 	for trial := 0; trial < 12; trial++ {
@@ -43,14 +42,9 @@ func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 		vocab := 2 + r.Intn(9)
 		sets := randGallerySets(r, 1+r.Intn(10), binary, vocab)
 		ix := NewDescriptorIndex(sets)
-		// IVF quantizes both representations; MIH applies to binary rows.
-		spec := fullProbeIVF
-		if binary && trial%4 == 1 {
-			spec = fullProbeMIH
-		}
-		mi := buildMatchIndex(ix, spec)
+		mi := buildMatchIndex(ix, fullProbeIVF)
 		if ix.Len() > 0 && mi == MatchIndex(ix) {
-			t.Fatalf("trial %d: full-probe spec %v built no backend", trial, spec)
+			t.Fatalf("trial %d: full-probe spec %v built no backend", trial, fullProbeIVF)
 		}
 		var query *features.Set
 		if binary {
@@ -77,43 +71,6 @@ func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 						t.Fatalf("trial %d (binary=%v) ratio %v shards=%d view %d: %d != %d",
 							trial, binary, ratio, shards, v, got[v], want[v])
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestMIHZeroPaddedRowsExactAtRadiusZero pins the non-delegating probe
-// path against the flat scan where equality is provable: 4-byte rows
-// pack into one 64-bit word whose upper substrings are all zero, so the
-// zero-key buckets of those tables hold every indexable row and the
-// candidate set is always complete. Radius 0 must then reproduce the
-// flat counts exactly — any drift is a bug in the probe/fold
-// arithmetic, not approximation.
-func TestMIHZeroPaddedRowsExactAtRadiusZero(t *testing.T) {
-	r := rng.New(431)
-	for trial := 0; trial < 10; trial++ {
-		sets := make([]*features.Set, 1+r.Intn(8))
-		for v := range sets {
-			sets[v] = randBinarySet(r, r.Intn(9), 4)
-		}
-		ix := NewDescriptorIndex(sets)
-		if ix.Len() == 0 {
-			continue
-		}
-		mi := NewMIHIndex(ix, MIHParams{SubstrBits: 16, Radius: -1}) // -1 clamps to 0
-		if mi.full {
-			t.Fatal("radius 0 must not delegate")
-		}
-		query := randBinarySet(r, 1+r.Intn(8), 4)
-		want := make([]int32, ix.NumViews)
-		got := make([]int32, ix.NumViews)
-		for _, ratio := range []float64{0.5, 0.8, 1.0} {
-			ix.GoodMatchCounts(query, ratio, want)
-			mi.GoodMatchCounts(query, ratio, got)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("trial %d ratio %v view %d: %d != %d", trial, ratio, v, got[v], want[v])
 				}
 			}
 		}
@@ -154,57 +111,99 @@ func TestIVFDegenerateClustersExact(t *testing.T) {
 	}
 }
 
-// TestBuildMatchIndexFallbacks: wrong representation or an empty index
-// must fall back to the flat scan rather than build a dead backend.
+// expiringCtx is a context whose Err turns non-nil after `live` calls:
+// a deadline that expires partway through a scan.
+type expiringCtx struct {
+	context.Context
+	live, calls int
+}
+
+func (c *expiringCtx) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestScanHonoursDeadlineMidQuery pins the in-scan checkpoints: the flat
+// float and binary kernels and both IVF probes check ctx once per query
+// descriptor, so a deadline that expires partway through a
+// multi-descriptor query stops the scan with that error before the
+// last query descriptor.
+func TestScanHonoursDeadlineMidQuery(t *testing.T) {
+	r := rng.New(5)
+	floatSets := make([]*features.Set, 6)
+	binSets := make([]*features.Set, 6)
+	for v := range floatSets {
+		floatSets[v] = randFloatSet(r, 8, 6, 12)
+		binSets[v] = randBinarySet(r, 8, 32)
+	}
+	floatIx, binIx := NewDescriptorIndex(floatSets), NewDescriptorIndex(binSets)
+	const nq = 8
+	for _, tc := range []struct {
+		name  string
+		mi    MatchIndex
+		query *features.Set
+	}{
+		{"flat/float", floatIx, randFloatSet(r, nq, 6, 12)},
+		{"flat/binary", binIx, randBinarySet(r, nq, 32)},
+		{"ivf/float", NewIVFIndex(floatIx, IVFParams{NLists: 4, NProbe: 1}), randFloatSet(r, nq, 6, 12)},
+		{"ivf/binary", NewIVFIndex(binIx, IVFParams{NLists: 4, NProbe: 1}), randBinarySet(r, nq, 32)},
+	} {
+		if iv, ok := tc.mi.(*IVFIndex); ok && iv.full {
+			t.Fatalf("%s: fixture delegates to the flat kernel", tc.name)
+		}
+		ctx := &expiringCtx{Context: context.Background(), live: 3}
+		counts := make([]int32, len(floatSets))
+		err := tc.mi.Scan(ctx, tc.query, 0.8, counts, 0, len(counts), nil)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: Scan returned %v, want the context's error", tc.name, err)
+		}
+		if ctx.calls >= nq {
+			t.Fatalf("%s: %d ctx checks for %d query descriptors; the scan ran to the last descriptor", tc.name, ctx.calls, nq)
+		}
+	}
+}
+
+// TestBuildMatchIndexFallbacks: an empty index must fall back to the
+// flat scan rather than build a dead backend.
 func TestBuildMatchIndexFallbacks(t *testing.T) {
 	r := rng.New(11)
 	floatIx := NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8)})
 	binIx := NewDescriptorIndex([]*features.Set{randBinarySet(r, 4, 32)})
 	emptyIx := NewDescriptorIndex(nil)
 
-	if mi := buildMatchIndex(floatIx, IndexSpec{Kind: MIHKind}); mi != MatchIndex(floatIx) {
-		t.Fatal("MIH over float rows must fall back to the flat index")
-	}
 	if _, ok := buildMatchIndex(binIx, IndexSpec{Kind: IVFKind}).(*IVFIndex); !ok {
 		t.Fatal("IVF over binary rows must build the Hamming-quantized backend")
 	}
-	if mi := buildMatchIndex(emptyIx, IndexSpec{Kind: MIHKind}); mi != MatchIndex(emptyIx) {
+	if mi := buildMatchIndex(emptyIx, IndexSpec{Kind: IVFKind}); mi != MatchIndex(emptyIx) {
 		t.Fatal("empty gallery must fall back to the flat index")
 	}
 	if k := floatIx.IndexKind(); k != ExactKind {
 		t.Fatalf("flat index kind = %v", k)
 	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("representation-mismatched constructor did not panic")
-			}
-		}()
-		NewMIHIndex(floatIx, MIHParams{})
-	}()
 }
 
 // TestIndexSpecValidateAndParse covers the config surface: kind
 // parsing, the String round-trip, and rejected parameter combinations.
 func TestIndexSpecValidateAndParse(t *testing.T) {
-	for _, k := range []IndexKind{ExactKind, MIHKind, IVFKind} {
+	for _, k := range []IndexKind{ExactKind, IVFKind} {
 		got, err := ParseIndexKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseIndexKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseIndexKind("annoy"); err == nil {
-		t.Fatal("unknown kind must error")
+	for _, name := range []string{"annoy", "mih"} {
+		if _, err := ParseIndexKind(name); err == nil {
+			t.Fatalf("unknown kind %q must error", name)
+		}
 	}
 	if k, err := ParseIndexKind(""); err != nil || k != ExactKind {
 		t.Fatalf("empty kind = %v, %v", k, err)
 	}
 
 	bad := []IndexSpec{
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 12}},            // does not divide 64
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 32}},            // tables too large
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 16, Radius: 3}}, // unsupported radius
 		{Kind: IVFKind, IVF: IVFParams{NLists: -1}},
 		{Kind: IVFKind, IVF: IVFParams{NProbe: -2}},
 		{Kind: IndexKind(99)},
@@ -216,9 +215,6 @@ func TestIndexSpecValidateAndParse(t *testing.T) {
 	}
 	good := []IndexSpec{
 		{Kind: ExactKind},
-		{Kind: MIHKind},
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 8, Radius: 2}},
-		{Kind: MIHKind, MIH: MIHParams{SubstrBits: 16, Radius: 16}}, // exact full probe
 		{Kind: IVFKind},
 		{Kind: IVFKind, IVF: IVFParams{NLists: 32, NProbe: 64}},
 	}
@@ -227,42 +223,29 @@ func TestIndexSpecValidateAndParse(t *testing.T) {
 			t.Fatalf("spec %d (%+v): %v", i, s, err)
 		}
 	}
-	if got := (IndexSpec{Kind: MIHKind}).String(); got != "mih(bits=16,radius=1)" {
-		t.Fatalf("mih spec string = %q", got)
-	}
 	if got := (IndexSpec{Kind: IVFKind}).String(); !strings.Contains(got, "ivf(") {
 		t.Fatalf("ivf spec string = %q", got)
 	}
 }
 
-// TestMixedRepresentationQueryPanics pins the backends to the flat
+// TestMixedRepresentationQueryPanics pins the IVF backend to the flat
 // scan's error contract for mismatched queries.
 func TestMixedRepresentationQueryPanics(t *testing.T) {
 	r := rng.New(23)
-	binIx := NewDescriptorIndex([]*features.Set{randBinarySet(r, 4, 32), randBinarySet(r, 4, 32)})
-	mih := NewMIHIndex(binIx, MIHParams{})
 	floatIx := NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8), randFloatSet(r, 4, 6, 8)})
 	ivf := NewIVFIndex(floatIx, IVFParams{NLists: 2, NProbe: 1})
 	counts := make([]int32, 2)
-	for name, fn := range map[string]func(){
-		"mih-float-query":  func() { mih.GoodMatchCounts(randFloatSet(r, 3, 6, 8), 0.8, counts) },
-		"ivf-binary-query": func() { ivf.GoodMatchCounts(randBinarySet(r, 3, 32), 0.8, counts) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: mixed representation did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ivf-binary-query: mixed representation did not panic")
+		}
+	}()
+	ivf.GoodMatchCounts(randBinarySet(r, 3, 32), 0.8, counts)
 }
 
 // TestGalleryIndexSpecPlumbing exercises the serving surface end to
-// end: SetIndexSpec builds (and caches) the right backend per kind,
-// falls back where the representation does not match, and a spec change
-// drops the stale backend.
+// end: SetIndexSpec builds (and caches) the right backend per kind, a
+// spec change drops the stale backend, and invalid specs are rejected.
 func TestGalleryIndexSpecPlumbing(t *testing.T) {
 	g := NewGalleryWorkers(dataset.BuildLarge(6, 3, 5), 0)
 	params := DefaultDescriptorParams()
@@ -276,21 +259,6 @@ func TestGalleryIndexSpecPlumbing(t *testing.T) {
 		t.Fatalf("default ORB backend = %v", k)
 	}
 
-	if err := g.SetIndexSpec(IndexSpec{Kind: MIHKind}); err != nil {
-		t.Fatal(err)
-	}
-	if k := g.MatchIndexFor(ORB, params).IndexKind(); k != MIHKind {
-		t.Fatalf("ORB backend under mih spec = %v", k)
-	}
-	// SIFT rows are float: the MIH spec cannot apply and must fall back.
-	if k := g.MatchIndexFor(SIFT, params).IndexKind(); k != ExactKind {
-		t.Fatalf("SIFT backend under mih spec = %v", k)
-	}
-	mi := g.MatchIndexFor(ORB, params)
-	if again := g.MatchIndexFor(ORB, params); again != mi {
-		t.Fatal("backend not cached across calls")
-	}
-
 	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +270,19 @@ func TestGalleryIndexSpecPlumbing(t *testing.T) {
 	if k := g.MatchIndexFor(SIFT, params).IndexKind(); k != IVFKind {
 		t.Fatalf("SIFT backend under ivf spec = %v", k)
 	}
+	mi := g.MatchIndexFor(ORB, params)
+	if again := g.MatchIndexFor(ORB, params); again != mi {
+		t.Fatal("backend not cached across calls")
+	}
 
-	if err := g.SetIndexSpec(IndexSpec{Kind: MIHKind, MIH: MIHParams{SubstrBits: 12}}); err == nil {
+	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind, IVF: IVFParams{NProbe: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if again := g.MatchIndexFor(ORB, params); again == mi {
+		t.Fatal("spec change kept the stale backend")
+	}
+
+	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind, IVF: IVFParams{NProbe: -2}}); err == nil {
 		t.Fatal("invalid spec must be rejected")
 	}
 }
@@ -325,7 +304,7 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 		spec IndexSpec
 	}
 	runs := []run{
-		{ORB, fullProbeMIH},
+		{ORB, fullProbeIVF},
 		{SIFT, fullProbeIVF},
 	}
 	for _, rn := range runs {
@@ -344,7 +323,7 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 			sg := NewShardedGallery(g, workers)
 			got := make([]Prediction, queries.Len())
 			parallel.ForEach(workers, queries.Len(), func(i int) {
-				got[i] = sg.Classify(p, queries.Samples[i].Image)
+				got[i], _, _ = sg.ClassifyStatsCtx(context.Background(), p, queries.Samples[i].Image)
 			})
 			for i := range want {
 				if got[i] != want[i] {
@@ -358,7 +337,7 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 
 // TestANNDefaultSettingsRecallFloor is the recall@1 regression gate at
 // the default approximate settings: over a scaled synthetic gallery the
-// MIH and IVF predictions must agree with the exact scan on at least 95%
+// IVF predictions must agree with the exact scan on at least 95%
 // of queries — the floor the CI smoke also enforces. Queries are unseen
 // poses of the enrolled models (the serving regime: novel viewpoints of
 // known objects), rendered at 128px so views carry enough keypoints for
@@ -378,7 +357,7 @@ func TestANNDefaultSettingsRecallFloor(t *testing.T) {
 		kind DescriptorKind
 		spec IndexSpec
 	}{
-		{ORB, IndexSpec{Kind: MIHKind}},
+		{ORB, IndexSpec{Kind: IVFKind}},
 		{SIFT, IndexSpec{Kind: IVFKind}},
 	} {
 		p := NewDescriptor(rn.kind, 0.5)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"snmatch/internal/fault"
 	"snmatch/internal/features"
 	"snmatch/internal/features/match"
 	"snmatch/internal/imaging"
@@ -20,13 +19,6 @@ type QueryStats struct {
 	Extract time.Duration // descriptor extraction (PNG-decoded image -> packed query set)
 	Match   time.Duration // index scan / approximate probe
 	Verify  time.Duration // approximate backends' exact shortlist re-scoring
-}
-
-// StatsClassifier is implemented by pipelines that can report per-query
-// timings; the serving layer uses it to expose extract_ms next to the
-// end-to-end latency.
-type StatsClassifier interface {
-	ClassifyStats(img *imaging.Image, g *Gallery) (Prediction, QueryStats)
 }
 
 // Descriptor is the §3.3 pipeline: extract SIFT, SURF or ORB features
@@ -109,25 +101,25 @@ func (p *Descriptor) putCtx(c *ExtractCtx) {
 	p.ctxs.Put(c)
 }
 
-// classifyOn is the single copy of the pooled query protocol — context
-// checkout, timed extraction, count scan over the given index/counter
-// pair, recycle — shared by the flat (Descriptor.ClassifyStats) and
-// sharded (ShardedGallery.ClassifyStats) serving paths so the checkout
+// classifyOn is the single copy of the pooled query protocol —
+// context checkout, timed extraction, one scan of the given matching
+// index, recycle — shared by the offline (Descriptor.Classify) and
+// serving (ShardedGallery.ClassifyStatsCtx) paths so the checkout
 // discipline cannot drift between them.
 // The stage trace rides the pooled context (never a fresh heap object):
 // with instrumentation on, extraction and the scan's match/verify split
 // land in ctx.Trace and surface through QueryStats; with it off the
 // backends get a nil trace and skip their clocks entirely.
 //
-// ctx is the request deadline: cancellation checkpoints sit between
-// the stages (before extraction, before the scan, and — on a sharded
-// gallery — before every shard's scan), so an expired request stops
-// burning CPU at the next stage boundary instead of running to
+// ctx is the request deadline: cancellation checkpoints sit before
+// extraction and inside the scan (once per query descriptor, and — on a
+// sharded index — before every shard's scan), so an expired request
+// stops burning CPU at the next checkpoint instead of running to
 // completion. The returned error is the context's; a non-nil error
-// means the prediction was not computed. Both checkpoints are plain
-// ctx.Err() calls, so the warm path stays allocation-free.
-func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gallery, ix *DescriptorIndex, mc matchCounter) (Prediction, QueryStats, error) {
-	if err := ctxErr(ctx); err != nil {
+// means the prediction was not computed. Every checkpoint is a plain
+// ctx.Err() call, so the warm path stays allocation-free.
+func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gallery, mi MatchIndex) (Prediction, QueryStats, error) {
+	if err := ctx.Err(); err != nil {
 		return Prediction{}, QueryStats{}, err
 	}
 	c := p.getCtx()
@@ -140,7 +132,7 @@ func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gall
 	q := ExtractDescriptorsCtx(img, p.Kind, p.Params, c)
 	stats := QueryStats{Extract: time.Since(start)}
 	tr.Set(obs.StageExtract, stats.Extract)
-	pred, err := classifyCounts(ctx, g, ix, mc, q, p.Ratio, tr)
+	pred, err := classifyCounts(ctx, g, mi, q, p.Ratio, tr)
 	stats.Match = tr.Get(obs.StageMatch)
 	stats.Verify = tr.Get(obs.StageVerify)
 	p.putCtx(c)
@@ -148,81 +140,32 @@ func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gall
 }
 
 // Classify implements Pipeline. The per-view good-match counts come
-// from one scan of the flat gallery index per query descriptor; the
-// count scratch is pooled, so steady-state matching allocates nothing
-// per query. An unprepared gallery builds its index on first use
-// through the mutex-guarded cache, so concurrent Classify calls against
-// a shared gallery are safe. Results are identical to brute-force
-// per-view matching (classifyPerView).
+// from one scan of the matching backend the gallery's IndexSpec selects
+// (flat by default); the count scratch always pools on the flat index,
+// so steady-state matching allocates nothing per query and backend
+// swaps don't change that. An unprepared gallery builds its index on
+// first use through the mutex-guarded cache, so concurrent Classify
+// calls against a shared gallery are safe. Results are identical to
+// brute-force per-view matching (classifyPerView).
 func (p *Descriptor) Classify(img *imaging.Image, g *Gallery) Prediction {
-	pred, _ := p.ClassifyStats(img, g)
+	pred, _, _ := p.classifyOn(context.Background(), img, g, g.MatchIndexFor(p.Kind, p.Params))
 	return pred
 }
 
-// ClassifyStats implements StatsClassifier: Classify plus the
-// extraction timing of this query. The scan runs on the matching
-// backend the gallery's IndexSpec selects (flat by default); the count
-// scratch always pools on the flat index, so backend swaps don't change
-// the zero-allocation query path.
-func (p *Descriptor) ClassifyStats(img *imaging.Image, g *Gallery) (Prediction, QueryStats) {
-	pred, stats, _ := p.ClassifyStatsCtx(context.Background(), img, g)
-	return pred, stats
-}
-
-// ClassifyStatsCtx is ClassifyStats under a request deadline: the
-// pipeline checks ctx between stages and returns its error instead of
-// finishing the query. context.Background() (or any never-done ctx)
-// makes it exactly ClassifyStats.
-func (p *Descriptor) ClassifyStatsCtx(ctx context.Context, img *imaging.Image, g *Gallery) (Prediction, QueryStats, error) {
-	mi := g.MatchIndexFor(p.Kind, p.Params)
-	return p.classifyOn(ctx, img, g, mi.Flat(), mi)
-}
-
-// ctxErr is the stage-boundary cancellation checkpoint: nil-context
-// safe and allocation-free (Err returns preallocated sentinel errors).
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// matchCounter fills per-view good-match counts for one query — the
-// flat index and its sharded wrapper both implement it, which lets
-// classifyCounts stay closure-free on the zero-allocation query path.
-type matchCounter interface {
-	GoodMatchCounts(query *features.Set, ratio float64, counts []int32)
-	GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace)
-}
-
-// classifyCounts runs one good-match-count fill over pooled scratch and
-// selects the winning view — the shared tail of flat and sharded
+// classifyCounts runs one good-match-count scan over pooled scratch and
+// selects the winning view — the shared tail of offline and served
 // descriptor classification, kept in one place so the first-best
 // tie-break and Score semantics cannot drift between the two paths.
-//
-// The scan honours ctx: a sharded counter checks it before every
-// shard's scan (skipping the rest once expired), an unsharded one
-// before its single scan. A non-nil error means the counts are
+// A non-nil error is the scan's context error: the counts are
 // incomplete and no prediction is returned — a partially-scanned
-// gallery must never masquerade as a result. The shard-scan fault
-// point fires here too; since a count fill has no error return, an
-// armed error surfaces as a panic for the per-request recovery to
-// convert (latency rules just stretch the scan in place).
+// gallery must never masquerade as a result.
+//
 //snmatch:noalloc
-func classifyCounts(ctx context.Context, g *Gallery, ix *DescriptorIndex, mc matchCounter, q *features.Set, ratio float64, tr *obs.Trace) (Prediction, error) {
+func classifyCounts(ctx context.Context, g *Gallery, mi MatchIndex, q *features.Set, ratio float64, tr *obs.Trace) (Prediction, error) {
+	ix := mi.Flat()
 	countsPtr := ix.getCounts()
 	counts := *countsPtr
-	var err error
-	if sx, ok := mc.(*ShardedIndex); ok && ctx != nil {
-		err = sx.goodMatchCountsCtx(ctx, q, ratio, counts, tr)
-	} else if err = ctxErr(ctx); err == nil {
-		if ferr := fault.Check(fault.ShardScan); ferr != nil {
-			ix.putCounts(countsPtr)
-			panic(ferr)
-		}
-		mc.GoodMatchCountsTraced(q, ratio, counts, tr)
-	}
-	if err != nil {
+	if err := mi.Scan(ctx, q, ratio, counts, 0, ix.NumViews, tr); err != nil {
 		ix.putCounts(countsPtr)
 		return Prediction{}, err
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -152,18 +153,24 @@ func TestQueryPathAllocs(t *testing.T) {
 	// live instrumentation (stage trace, counters, histograms): the
 	// record path is pure atomic arithmetic, so the gate holds with
 	// metrics enabled — the invariant the CI obs alloc-gate step pins.
+	// The batch-lane rows drive the serving batcher's per-query path, a
+	// 1-shard ShardedGallery: its single-span Scan runs inline, without
+	// the fan-out closure.
 	for _, on := range []bool{false, true} {
 		name := "classify/obs=off"
 		if on {
 			name = "classify/obs=on"
 		}
-		t.Run(name, func(t *testing.T) {
+		setObs := func() {
 			if on {
 				EnableObs(obs.NewRegistry())
-				defer DisableObs()
 			} else {
 				DisableObs()
 			}
+		}
+		t.Run(name, func(t *testing.T) {
+			setObs()
+			defer DisableObs()
 			p := NewDescriptor(ORB, 0.5)
 			p.Prepare(gallery1, 1)
 			for i := 0; i < 3; i++ {
@@ -175,27 +182,47 @@ func TestQueryPathAllocs(t *testing.T) {
 				t.Errorf("warm Classify allocates %.1f times per query, want 0", n)
 			}
 		})
+		t.Run(name+"/batch-lane", func(t *testing.T) {
+			setObs()
+			defer DisableObs()
+			p := NewDescriptor(ORB, 0.5)
+			p.Prepare(gallery1, 1)
+			sg := NewShardedGallery(gallery1, 1)
+			ctx := context.Background()
+			for i := 0; i < 3; i++ {
+				sg.ClassifyStatsCtx(ctx, p, img)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				sg.ClassifyStatsCtx(ctx, p, img)
+			}); n != 0 {
+				t.Errorf("warm 1-shard ClassifyStatsCtx allocates %.1f times per query, want 0", n)
+			}
+		})
 	}
 
-	// The traced approximate path — MIH probe, shortlist bookkeeping,
+	// The traced approximate path — IVF probe, shortlist bookkeeping,
 	// exact verification, all with instrumentation on — must hold the
-	// gate too.
-	t.Run("classify/obs=on/mih", func(t *testing.T) {
+	// gate too. The 12-view ORB gallery trains more lists than the
+	// default nprobe, so the probe-and-verify path runs.
+	t.Run("classify/obs=on/ivf", func(t *testing.T) {
 		EnableObs(obs.NewRegistry())
 		defer DisableObs()
-		g := NewGallery(&dataset.Set{Name: "mih-alloc", Samples: sns1.Samples[:12]})
-		if err := g.SetIndexSpec(IndexSpec{Kind: MIHKind}); err != nil {
+		g := NewGallery(&dataset.Set{Name: "ivf-alloc", Samples: sns1.Samples[:12]})
+		if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
 			t.Fatal(err)
 		}
 		p := NewDescriptor(ORB, 0.5)
 		p.Prepare(g, 1)
+		if iv, ok := g.MatchIndexFor(ORB, p.Params).(*IVFIndex); !ok || iv.full {
+			t.Fatal("fixture does not exercise the IVF probe path")
+		}
 		for i := 0; i < 3; i++ {
 			p.Classify(img, g)
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			p.Classify(img, g)
 		}); n != 0 {
-			t.Errorf("warm traced MIH Classify allocates %.1f times per query, want 0", n)
+			t.Errorf("warm traced IVF Classify allocates %.1f times per query, want 0", n)
 		}
 	})
 
@@ -279,7 +306,7 @@ func TestShardedClassifyStatsMatchesFlat(t *testing.T) {
 		sg := NewShardedGallery(gallery1, shards)
 		for _, sm := range sns2.Samples[:4] {
 			want := p.Classify(sm.Image, gallery1)
-			got, stats := sg.ClassifyStats(p, sm.Image)
+			got, stats, _ := sg.ClassifyStatsCtx(context.Background(), p, sm.Image)
 			if got != want {
 				t.Fatalf("shards=%d: %+v, flat %+v", shards, got, want)
 			}

@@ -216,9 +216,8 @@ func (g *Gallery) IndexSpec() IndexSpec {
 }
 
 // MatchIndexFor returns the matching engine for the kind under the
-// gallery's IndexSpec: the flat index itself for ExactKind (or when the
-// backend does not apply to the kind's representation), the cached
-// approximate backend otherwise. Like the flat cache it is safe under
+// gallery's IndexSpec: the flat index itself for ExactKind (or an empty
+// index), the cached approximate backend otherwise. Like the flat cache it is safe under
 // concurrent Classify traffic — the build is a pure function of the
 // flat index and the spec, so racing builders agree and the first store
 // wins. A cached backend is discarded when the flat index it wraps is

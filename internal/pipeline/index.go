@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"sync"
 	"time"
@@ -252,7 +253,7 @@ func (ix *DescriptorIndex) Flat() *DescriptorIndex { return ix }
 func (ix *DescriptorIndex) IndexKind() IndexKind { return ExactKind }
 
 // getCounts borrows a per-view count buffer from the pool. Contents
-// are unspecified — GoodMatchCounts zeroes its output itself.
+// are unspecified — Scan zeroes its output range itself.
 func (ix *DescriptorIndex) getCounts() *[]int32 {
 	if v := ix.counts.Get(); v != nil {
 		return v.(*[]int32)
@@ -264,73 +265,62 @@ func (ix *DescriptorIndex) getCounts() *[]int32 {
 // putCounts returns a buffer to the pool.
 func (ix *DescriptorIndex) putCounts(s *[]int32) { ix.counts.Put(s) }
 
-// GoodMatchCounts accumulates, for every gallery view, the number of
-// query descriptors whose within-view 2-NN pass Lowe's ratio test —
-// exactly match.GoodMatchCount(query, view, ratio) per view, computed
-// in one scan of the flat matrix per query descriptor. counts must have
-// NumViews entries and is overwritten.
+// GoodMatchCounts implements MatchIndex: the full-range, untraced
+// Scan under context.Background(), which never expires, so the scan
+// cannot fail.
 //
 //snmatch:noalloc
 func (ix *DescriptorIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	ix.GoodMatchCountsRange(query, ratio, counts, 0, ix.NumViews)
+	_ = ix.Scan(context.Background(), query, ratio, counts, 0, ix.NumViews, nil)
 }
 
-// GoodMatchCountsRange is GoodMatchCounts restricted to the views in
-// [v0, v1): exactly counts[v0:v1] is overwritten, entries outside the
-// range are untouched. Because the 2-NN search and ratio test are
-// evaluated independently per view, the numbers written for a view are
-// identical at every range split — which is what lets a sharded scan
-// write disjoint ranges concurrently and still match the full scan bit
-// for bit. Concurrent callers must pass a query whose Packed mirror is
-// already built (extractors do; hand-assembled sets need Set.Pack).
+// Scan implements MatchIndex: for every view in [v0, v1), the number of
+// query descriptors whose within-view 2-NN pass Lowe's ratio test —
+// exactly match.GoodMatchCount(query, view, ratio) per view, computed
+// in one scan of the flat matrix per query descriptor. The exact scan
+// has no probe/verify split, so the whole scan books as match time.
+// Concurrent callers must pass a query whose Packed mirror is already
+// built (extractors do; hand-assembled sets need Set.Pack).
 //
 //snmatch:noalloc
-func (ix *DescriptorIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {
-	for i := v0; i < v1; i++ {
-		counts[i] = 0
+func (ix *DescriptorIndex) Scan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) error {
+	if tr == nil {
+		return ix.scan(ctx, query, ratio, counts, v0, v1)
 	}
+	start := time.Now()
+	err := ix.scan(ctx, query, ratio, counts, v0, v1)
+	tr.Add(obs.StageMatch, time.Since(start))
+	return err
+}
+
+// scan is the exact kernel behind Scan and IVF's shortlist
+// verification: it overwrites counts[v0:v1] and dispatches on the row
+// representation.
+func (ix *DescriptorIndex) scan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int) error {
+	clear(counts[v0:v1])
 	if query.Len() == 0 || ix.Len() == 0 {
-		return
+		return nil
 	}
 	if query.IsBinary() != ix.Binary {
 		panic("match: mixed descriptor representations")
 	}
 	qp := query.Pack().Packed
 	if ix.Binary {
-		ix.binaryCounts(qp, ratio, counts, v0, v1)
-	} else {
-		ix.floatCounts(qp, ratio, counts, v0, v1)
+		return ix.binaryCounts(ctx, qp, ratio, counts, v0, v1)
 	}
+	return ix.floatCounts(ctx, qp, ratio, counts, v0, v1)
 }
 
-// GoodMatchCountsTraced implements MatchIndex: the exact scan has no
-// probe/verify split, so the whole scan books as match time.
-//
-//snmatch:noalloc
-func (ix *DescriptorIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
-	ix.GoodMatchCountsRangeTraced(query, ratio, counts, 0, ix.NumViews, tr)
-}
-
-// GoodMatchCountsRangeTraced implements MatchIndex.
-//
-//snmatch:noalloc
-func (ix *DescriptorIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
-	if tr == nil {
-		ix.GoodMatchCountsRange(query, ratio, counts, v0, v1)
-		return
-	}
-	start := time.Now()
-	ix.GoodMatchCountsRange(query, ratio, counts, v0, v1)
-	tr.Add(obs.StageMatch, time.Since(start))
-}
-
-func (ix *DescriptorIndex) floatCounts(qp *features.Packed, ratio float64, counts []int32, v0, v1 int) {
+func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
 	if qp.Dim != ix.Dim {
 		panic("pipeline: query descriptor width does not match index")
 	}
 	dim := ix.Dim
 	normErr := float32(dim) * normErrScale
 	for qi := 0; qi < qp.N; qi++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		q := qp.FloatRow(qi)
 		rq := sqrt32(qp.Norms[qi])
 		for v := v0; v < v1; v++ {
@@ -383,14 +373,18 @@ func (ix *DescriptorIndex) floatCounts(qp *features.Packed, ratio float64, count
 			}
 		}
 	}
+	return nil
 }
 
-func (ix *DescriptorIndex) binaryCounts(qp *features.Packed, ratio float64, counts []int32, v0, v1 int) {
+func (ix *DescriptorIndex) binaryCounts(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
 	if qp.WordsPerRow != ix.WordsPerRow {
 		panic("pipeline: query descriptor width does not match index")
 	}
 	wpr := ix.WordsPerRow
 	for qi := 0; qi < qp.N; qi++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		q := qp.WordRow(qi)
 		for v := v0; v < v1; v++ {
 			start, end := ix.Starts[v], ix.Starts[v+1]
@@ -411,6 +405,7 @@ func (ix *DescriptorIndex) binaryCounts(qp *features.Packed, ratio float64, coun
 			}
 		}
 	}
+	return nil
 }
 
 // update2 folds one squared distance into the running best/second-best.

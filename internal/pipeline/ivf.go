@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	mbits "math/bits"
 	"sync"
@@ -39,11 +40,11 @@ const ivfHorizonScale = 0.5
 // k-majority variant — Hamming assignment, per-bit majority-vote
 // centroid update — so the quantizer adapts to however the codes
 // cluster, which keeps the probe sub-linear even on the low-entropy
-// descriptor sets that defeat fixed substring hashing (see MIHIndex). A
-// query descriptor ranks the centroids and scans only the nprobe
-// nearest lists; per-view best/second-best fold exactly like the flat
-// scan over the rows encountered, and a view contributing fewer than
-// two candidate rows is skipped (no second-neighbour denominator — the
+// descriptor sets that defeat fixed substring hashing. A query
+// descriptor ranks the centroids and scans only the nprobe nearest
+// lists; per-view best/second-best fold exactly like the flat scan
+// over the rows encountered, and a view contributing fewer than two
+// candidate rows is skipped (no second-neighbour denominator — the
 // rule the flat scan applies to views with fewer than two rows). The
 // probed fold only shortlists: every view with a non-zero approximate
 // count is then re-scored exactly by the flat kernel over its full row
@@ -234,8 +235,8 @@ func (iv *IVFIndex) trainBinary(rows []int32, nlists int) []uint64 {
 				assign[i] = iv.nearestCentroidWords(ix.Words[row*wpr : (row+1)*wpr])
 			}
 		})
-		clearInt32(ones)
-		clearInt32(members)
+		clear(ones)
+		clear(members)
 		for i, l := range assign {
 			row := int(sample[i])
 			src := ix.Words[row*wpr : (row+1)*wpr]
@@ -415,50 +416,37 @@ func (iv *IVFIndex) getScratch() *ivfScratch {
 
 func (sc *ivfScratch) next() {
 	if sc.epoch == math.MaxInt32 {
-		clearInt32(sc.viewMark)
+		clear(sc.viewMark)
 		sc.epoch = 0
 	}
 	sc.epoch++
 	sc.touched = sc.touched[:0]
 }
 
-// GoodMatchCounts implements MatchIndex.
+// GoodMatchCounts implements MatchIndex: the full-range, untraced
+// Scan under context.Background(), which never expires, so the scan
+// cannot fail.
 //
 //snmatch:noalloc
 func (iv *IVFIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	iv.GoodMatchCountsRangeTraced(query, ratio, counts, 0, iv.ix.NumViews, nil)
+	_ = iv.Scan(context.Background(), query, ratio, counts, 0, iv.ix.NumViews, nil)
 }
 
-// GoodMatchCountsRange implements MatchIndex: the flat scan's contract
-// over the nprobe nearest lists. Views outside [v0, v1) are untouched,
-// so sharded fan-out composes exactly as with the flat index.
-//snmatch:noalloc
-func (iv *IVFIndex) GoodMatchCountsRange(query *features.Set, ratio float64, counts []int32, v0, v1 int) {
-	iv.GoodMatchCountsRangeTraced(query, ratio, counts, v0, v1, nil)
-}
-
-// GoodMatchCountsTraced implements MatchIndex.
-//
-//snmatch:noalloc
-func (iv *IVFIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
-	iv.GoodMatchCountsRangeTraced(query, ratio, counts, 0, iv.ix.NumViews, tr)
-}
-
-// GoodMatchCountsRangeTraced implements MatchIndex: the coarse probe
-// and list scans book as match time, the exact shortlist re-scoring as
+// Scan implements MatchIndex: the flat scan's contract over the nprobe
+// nearest lists. Views outside [v0, v1) are untouched, so sharded
+// fan-out composes exactly as with the flat index. The coarse probe and
+// list scans book as match time, the exact shortlist re-scoring as
 // verify time; the shortlist/probe histograms record just before
 // verification.
+//
 //snmatch:noalloc
-func (iv *IVFIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) {
+func (iv *IVFIndex) Scan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) error {
 	if iv.full {
-		iv.ix.GoodMatchCountsRangeTraced(query, ratio, counts, v0, v1, tr)
-		return
+		return iv.ix.Scan(ctx, query, ratio, counts, v0, v1, tr)
 	}
-	for i := v0; i < v1; i++ {
-		counts[i] = 0
-	}
+	clear(counts[v0:v1])
 	if query.Len() == 0 || iv.ix.Len() == 0 {
-		return
+		return nil
 	}
 	if query.IsBinary() != iv.ix.Binary {
 		panic("match: mixed descriptor representations")
@@ -469,16 +457,20 @@ func (iv *IVFIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float6
 	if tr != nil {
 		start = time.Now()
 	}
+	var err error
 	if iv.ix.Binary {
 		if qp.WordsPerRow != iv.ix.WordsPerRow {
 			panic("pipeline: query descriptor width does not match index")
 		}
-		iv.scanBinary(qp, ratio, counts, v0, v1)
+		err = iv.scanBinary(ctx, qp, ratio, counts, v0, v1)
 	} else {
 		if qp.Dim != iv.ix.Dim {
 			panic("pipeline: query descriptor width does not match index")
 		}
-		iv.scanFloat(qp, ratio, counts, v0, v1)
+		err = iv.scanFloat(ctx, qp, ratio, counts, v0, v1)
+	}
+	if err != nil {
+		return err
 	}
 	if tr != nil {
 		now := time.Now()
@@ -486,21 +478,26 @@ func (iv *IVFIndex) GoodMatchCountsRangeTraced(query *features.Set, ratio float6
 		start = now
 	}
 	pm.recordScan(IVFKind, counts, v0, v1, qp.N*iv.params.NProbe)
-	verifyShortlist(iv.ix, query, ratio, counts, v0, v1)
+	err = verifyShortlist(ctx, iv.ix, query, ratio, counts, v0, v1)
 	if tr != nil {
 		tr.Add(obs.StageVerify, time.Since(start))
 	}
+	return err
 }
 
 // scanFloat is the approximate probe over float rows: L2 centroid
 // ranking, exact L2Squared fold over the nprobe nearest lists.
-func (iv *IVFIndex) scanFloat(qp *features.Packed, ratio float64, counts []int32, v0, v1 int) {
+func (iv *IVFIndex) scanFloat(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
 	dim := iv.ix.Dim
 	nprobe := iv.params.NProbe
 	prune := iv.ix.prune
 	normErr := float32(dim) * normErrScale
 	sc := iv.getScratch()
+	defer iv.scratch.Put(sc)
 	for qi := 0; qi < qp.N; qi++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		q := qp.FloatRow(qi)
 		rq := sqrt32(qp.Norms[qi])
 		sc.next()
@@ -594,7 +591,7 @@ func (iv *IVFIndex) scanFloat(qp *features.Packed, ratio float64, counts []int32
 			}
 		}
 	}
-	iv.scratch.Put(sc)
+	return nil
 }
 
 // scanBinary is the approximate probe over packed binary rows: Hamming
@@ -603,11 +600,15 @@ func (iv *IVFIndex) scanFloat(qp *features.Packed, ratio float64, counts []int32
 // the flat binaryCounts semantics (raw Hamming distances through the
 // ratio test); the single-candidate horizon rule compares raw
 // distances too, since Hamming is already the metric.
-func (iv *IVFIndex) scanBinary(qp *features.Packed, ratio float64, counts []int32, v0, v1 int) {
+func (iv *IVFIndex) scanBinary(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
 	wpr := iv.ix.WordsPerRow
 	nprobe := iv.params.NProbe
 	sc := iv.getScratch()
+	defer iv.scratch.Put(sc)
 	for qi := 0; qi < qp.N; qi++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		q := qp.WordRow(qi)
 		sc.next()
 
@@ -665,5 +666,5 @@ func (iv *IVFIndex) scanBinary(qp *features.Packed, ratio float64, counts []int3
 			}
 		}
 	}
-	iv.scratch.Put(sc)
+	return nil
 }

@@ -12,9 +12,9 @@ import (
 // cells are pre-resolved at EnableObs so the record path is pure atomic
 // arithmetic. Backend arrays index by IndexKind.
 type pipeMetrics struct {
-	shortlist [3]*obs.Histogram // views shortlisted per scan call
-	verifyPct [3]*obs.Histogram // percent of the scanned view range verified
-	probes    [3]*obs.Histogram // buckets (mih) / lists (ivf) probed per scan call
+	shortlist [2]*obs.Histogram // views shortlisted per scan call
+	verifyPct [2]*obs.Histogram // percent of the scanned view range verified
+	probes    [2]*obs.Histogram // inverted lists probed per scan call
 
 	ctxHits   *obs.Counter
 	ctxMisses *obs.Counter
@@ -34,7 +34,7 @@ func obsMetrics() *pipeMetrics { return pmx.Load() }
 // repeated calls (every serve.New in a test binary) share cells.
 func EnableObs(r *obs.Registry) {
 	pm := &pipeMetrics{}
-	kinds := []string{ExactKind.String(), MIHKind.String(), IVFKind.String()}
+	kinds := []string{ExactKind.String(), IVFKind.String()}
 	sl := r.HistogramVec("snmatch_ann_shortlist_views",
 		"Views shortlisted by one index scan call for exact verification, by backend.",
 		obs.ScaleNone, "kind", kinds...)
@@ -42,7 +42,7 @@ func EnableObs(r *obs.Registry) {
 		"Percent of the scanned view range the approximate backends re-scored exactly, by backend.",
 		obs.ScaleNone, "kind", kinds...)
 	pr := r.HistogramVec("snmatch_ann_probes",
-		"Hash buckets (mih) or inverted lists (ivf) probed by one index scan call, by backend.",
+		"Inverted lists (ivf) probed by one index scan call, by backend.",
 		obs.ScaleNone, "kind", kinds...)
 	for k, name := range kinds {
 		pm.shortlist[k] = sl.With(name)
@@ -70,7 +70,7 @@ func DisableObs() { pmx.Store(nil) }
 // recordScan folds one index scan call's shortlist statistics into the
 // backend's histograms: the number of shortlisted (non-zero) views in
 // [v0, v1) just before exact verification, the fraction of the range
-// that represents, and how many buckets/lists the probe walked. The
+// that represents, and how many lists the probe walked. The
 // count pass only runs when instrumentation is on.
 func (pm *pipeMetrics) recordScan(kind IndexKind, counts []int32, v0, v1, probes int) {
 	if pm == nil {

@@ -19,15 +19,14 @@ import (
 // shard writes a disjoint range of the shared per-view count buffer —
 // so sharded results are bit identical to the unsharded index at every
 // shard count. This holds for any MatchIndex backend, exact or
-// approximate: GoodMatchCountsRange's contract is per-view results
-// independent of the [v0, v1) split.
+// approximate: Scan's contract is per-view results independent of the
+// [v0, v1) split.
 //
 // Shard boundaries are balanced by descriptor rows (the scan cost), not
 // by view count: galleries with uneven views per class still split into
 // near-equal work.
 type ShardedIndex struct {
 	mi    MatchIndex
-	ix    *DescriptorIndex
 	spans []parallel.Span // non-empty view ranges partitioning [0, NumViews)
 }
 
@@ -36,7 +35,7 @@ type ShardedIndex struct {
 // beyond the view count degrades to one view per shard).
 func NewShardedIndex(mi MatchIndex, shards int) *ShardedIndex {
 	ix := mi.Flat()
-	sx := &ShardedIndex{mi: mi, ix: ix}
+	sx := &ShardedIndex{mi: mi}
 	nv := ix.NumViews
 	if shards < 1 {
 		shards = 1
@@ -75,14 +74,11 @@ func NewShardedIndex(mi MatchIndex, shards int) *ShardedIndex {
 	return sx
 }
 
-// NumShards returns the number of non-empty shards.
-func (sx *ShardedIndex) NumShards() int { return len(sx.spans) }
+// Flat implements MatchIndex.
+func (sx *ShardedIndex) Flat() *DescriptorIndex { return sx.mi.Flat() }
 
-// Index returns the underlying flat index.
-func (sx *ShardedIndex) Index() *DescriptorIndex { return sx.ix }
-
-// MatchIndex returns the wrapped matching backend.
-func (sx *ShardedIndex) MatchIndex() MatchIndex { return sx.mi }
+// IndexKind implements MatchIndex: the wrapped backend's kind.
+func (sx *ShardedIndex) IndexKind() IndexKind { return sx.mi.IndexKind() }
 
 // Spans returns a copy of the shard view ranges.
 func (sx *ShardedIndex) Spans() []parallel.Span {
@@ -91,67 +87,54 @@ func (sx *ShardedIndex) Spans() []parallel.Span {
 	return out
 }
 
-// GoodMatchCounts fills the per-view good-match counts exactly like the
-// wrapped backend's GoodMatchCounts, scanning the shards concurrently on
-// the worker pool (one worker per shard). counts must have NumViews
-// entries and is overwritten.
+// GoodMatchCounts implements MatchIndex: the full-range, untraced
+// Scan under context.Background(), which never expires, so the scan
+// cannot fail.
 //
 //snmatch:noalloc
 func (sx *ShardedIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	sx.GoodMatchCountsTraced(query, ratio, counts, nil)
+	_ = sx.Scan(context.Background(), query, ratio, counts, 0, sx.mi.Flat().NumViews, nil)
 }
 
-// GoodMatchCountsTraced is the traced fan-out: every shard worker adds
-// its own elapsed match/verify time into the shared trace (Trace adds
-// are atomic), so on a multi-shard scan those stages read as CPU time
-// summed across workers, not wall time.
+// Scan implements MatchIndex by scanning the shards' intersections with
+// [v0, v1) concurrently on the worker pool (one worker per shard).
+// Every worker adds its own elapsed match/verify time into the shared
+// trace, so on a multi-shard scan those stages read as CPU time summed
+// across workers, not wall time. A single-span index scans inline,
+// without the fan-out closure, so it stays allocation-free.
 //
 //snmatch:noalloc
-func (sx *ShardedIndex) GoodMatchCountsTraced(query *features.Set, ratio float64, counts []int32, tr *obs.Trace) {
+func (sx *ShardedIndex) Scan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) error {
 	if len(sx.spans) <= 1 {
-		sx.mi.GoodMatchCountsTraced(query, ratio, counts, tr)
-		return
+		return sx.scanSpan(ctx, query, ratio, counts, v0, v1, tr)
 	}
-	query.Pack() // build the packed mirror before the fan-out shares it
-	parallel.ForEach(len(sx.spans), len(sx.spans), func(s int) { //lint:allow noalloc one fan-out closure per sharded scan, amortized over the shards it launches; the flat path stays 0 allocs/op
-		sp := sx.spans[s]
-		sx.mi.GoodMatchCountsRangeTraced(query, ratio, counts, sp.Start, sp.End, tr)
-	})
-}
-
-// goodMatchCountsCtx is the deadline-aware fan-out: every shard worker
-// re-checks ctx before scanning its span and skips the scan once the
-// deadline has expired, so a cancelled request stops burning scan CPU
-// at the next shard boundary instead of finishing the whole gallery.
-// The shard-scan fault point fires per shard (latency rules stretch one
-// shard's scan; error/panic rules panic out of the fan-out for the
-// per-request recovery). A non-nil return means at least one shard was
-// skipped and counts are incomplete — callers must discard them.
-//
-//snmatch:noalloc
-func (sx *ShardedIndex) goodMatchCountsCtx(ctx context.Context, query *features.Set, ratio float64, counts []int32, tr *obs.Trace) error {
-	if len(sx.spans) <= 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if ferr := fault.Check(fault.ShardScan); ferr != nil {
-			panic(ferr)
-		}
-		sx.mi.GoodMatchCountsTraced(query, ratio, counts, tr)
-		return nil
-	}
+	// Build the packed mirror before the fan-out shares it.
 	query.Pack()
 	parallel.ForEach(len(sx.spans), len(sx.spans), func(s int) { //lint:allow noalloc one fan-out closure per sharded scan, amortized over the shards it launches; the flat path stays 0 allocs/op
-		if ctx.Err() != nil {
-			return // deadline expired mid-fan-out; leave the span unscanned
-		}
-		if ferr := fault.Check(fault.ShardScan); ferr != nil {
-			panic(ferr) // re-panicked in the submitting goroutine by parallel.run
-		}
 		sp := sx.spans[s]
-		sx.mi.GoodMatchCountsRangeTraced(query, ratio, counts, sp.Start, sp.End, tr)
+		if lo, hi := max(sp.Start, v0), min(sp.End, v1); lo < hi {
+			_ = sx.scanSpan(ctx, query, ratio, counts, lo, hi, tr) // a failed span's error is ctx's, returned below
+		}
 	})
 	return ctx.Err()
+}
+
+// scanSpan is one shard's scan: it re-checks ctx first, so a request
+// whose deadline expired mid-fan-out skips its remaining shards instead
+// of finishing the whole gallery. The shard-scan fault point fires here,
+// once per span: latency rules stretch one shard's scan, and error and
+// panic rules panic out of the fan-out for the per-request recovery
+// (parallel.ForEach re-panics in the submitting goroutine).
+//
+//snmatch:noalloc
+func (sx *ShardedIndex) scanSpan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if ferr := fault.Check(fault.ShardScan); ferr != nil {
+		panic(ferr)
+	}
+	return sx.mi.Scan(ctx, query, ratio, counts, v0, v1, tr)
 }
 
 // ShardedGallery pairs a prepared Gallery with per-kind sharded indexes,
@@ -199,42 +182,21 @@ func (s *ShardedGallery) ShardedIndexFor(kind DescriptorKind, p DescriptorParams
 	return sx
 }
 
-// Classify routes one query through the sharded engine: descriptor
-// pipelines extract once and scan all shards in parallel, every other
-// pipeline runs its ordinary single-threaded Classify. Predictions are
-// bit-identical to the unsharded pipeline at every shard count.
-func (s *ShardedGallery) Classify(p Pipeline, img *imaging.Image) Prediction {
-	pred, _ := s.ClassifyStats(p, img)
-	return pred
-}
-
-// ClassifyStats is Classify plus per-query timings. Descriptor
-// pipelines extract on a pooled context (zero steady-state heap work)
-// and report the extraction time; other pipelines fall back to their
-// own ClassifyStats when they implement StatsClassifier and to plain
-// Classify otherwise.
-func (s *ShardedGallery) ClassifyStats(p Pipeline, img *imaging.Image) (Prediction, QueryStats) {
-	pred, stats, _ := s.ClassifyStatsCtx(context.Background(), p, img)
-	return pred, stats
-}
-
-// ClassifyStatsCtx is ClassifyStats under a request deadline: the
-// descriptor path checks ctx between extraction and the scan and before
-// every shard's scan; other pipelines check it once at entry (their
-// classification is a single unsliceable pass). A non-nil error is
-// the context's, and means no prediction was computed.
+// ClassifyStatsCtx routes one query through the sharded engine under a
+// request deadline: descriptor pipelines extract once on a pooled
+// context and scan all shards in parallel, reporting per-query timings;
+// every other pipeline runs its ordinary single-threaded Classify after
+// one ctx check at entry (its classification is a single unsliceable
+// pass). Predictions are bit-identical to the unsharded pipeline at
+// every shard count. A non-nil error is the context's, and means no
+// prediction was computed.
 func (s *ShardedGallery) ClassifyStatsCtx(ctx context.Context, p Pipeline, img *imaging.Image) (Prediction, QueryStats, error) {
 	d, ok := p.(*Descriptor)
 	if !ok {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return Prediction{}, QueryStats{}, err
-		}
-		if sc, ok := p.(StatsClassifier); ok {
-			pred, stats := sc.ClassifyStats(img, s.G)
-			return pred, stats, nil
 		}
 		return p.Classify(img, s.G), QueryStats{}, nil
 	}
-	sx := s.ShardedIndexFor(d.Kind, d.Params)
-	return d.classifyOn(ctx, img, s.G, sx.Index(), sx)
+	return d.classifyOn(ctx, img, s.G, s.ShardedIndexFor(d.Kind, d.Params))
 }

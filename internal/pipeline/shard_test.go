@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"snmatch/internal/dataset"
@@ -95,9 +96,9 @@ func TestShardedCountsEqualFlat(t *testing.T) {
 }
 
 // TestShardedGalleryClassifyEqualsFlat runs real extractors end to end:
-// for every descriptor family, ShardedGallery.Classify must reproduce
-// Descriptor.Classify exactly (class, winning view and score) at every
-// shard count. Under -race this also exercises the concurrent shard
+// for every descriptor family, ShardedGallery.ClassifyStatsCtx must
+// reproduce Descriptor.Classify exactly (class, winning view and score)
+// at every shard count. Under -race this also exercises the concurrent shard
 // fan-out against the shared count buffer.
 func TestShardedGalleryClassifyEqualsFlat(t *testing.T) {
 	cfg := dataset.Config{Size: 48, Seed: 3}
@@ -110,7 +111,7 @@ func TestShardedGalleryClassifyEqualsFlat(t *testing.T) {
 			sg := NewShardedGallery(g, shards)
 			for qi, q := range queries {
 				want := p.Classify(q.Image, g)
-				got := sg.Classify(p, q.Image)
+				got, _, _ := sg.ClassifyStatsCtx(context.Background(), p, q.Image)
 				if got != want {
 					t.Fatalf("%s shards=%d query %d: sharded %+v != flat %+v", kind, shards, qi, got, want)
 				}
@@ -127,7 +128,8 @@ func TestShardedGalleryNonDescriptorPassthrough(t *testing.T) {
 	sg := NewShardedGallery(g, 4)
 	p := DefaultHybrid(WeightedSum)
 	q := dataset.BuildSNS2(cfg).Samples[0]
-	if got, want := sg.Classify(p, q.Image), p.Classify(q.Image, g); got != want {
+	got, _, _ := sg.ClassifyStatsCtx(context.Background(), p, q.Image)
+	if want := p.Classify(q.Image, g); got != want {
 		t.Fatalf("hybrid passthrough: %+v != %+v", got, want)
 	}
 }

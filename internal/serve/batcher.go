@@ -71,9 +71,10 @@ type job struct {
 // scan each (throughput). Both paths are bit-identical to the serial
 // unsharded pipeline.
 type Batcher struct {
-	sg      *pipeline.ShardedGallery
-	p       pipeline.Pipeline
-	workers int
+	sg       *pipeline.ShardedGallery
+	oneShard *pipeline.ShardedGallery // 1-shard view of sg.G: the batch lane's unsharded scan
+	p        pipeline.Pipeline
+	workers  int
 
 	maxBatch int
 	maxWait  time.Duration
@@ -122,6 +123,7 @@ func newBatcher(sg *pipeline.ShardedGallery, p pipeline.Pipeline, workers, maxBa
 	}
 	b := &Batcher{
 		sg:       sg,
+		oneShard: pipeline.NewShardedGallery(sg.G, 1),
 		p:        p,
 		workers:  workers,
 		maxBatch: maxBatch,
@@ -321,14 +323,6 @@ func (b *Batcher) collect(first *job) {
 	b.run(batch, total)
 }
 
-// ctxStatsClassifier is implemented by pipelines whose classification
-// honours a request deadline (the descriptor pipelines); the batch path
-// threads each job's ctx through it so mid-batch cancellation stops
-// that query at its next stage boundary.
-type ctxStatsClassifier interface {
-	ClassifyStatsCtx(ctx context.Context, img *imaging.Image, g *pipeline.Gallery) (pipeline.Prediction, pipeline.QueryStats, error)
-}
-
 // recoverQuery converts a classification panic into a per-query error:
 // the worker survives, the panics counter ticks, and an error panic
 // value stays unwrappable (so an injected fault keeps reading as
@@ -348,36 +342,18 @@ func (b *Batcher) recoverQuery(errp *error) {
 	}
 }
 
-// classifyOne is the single-query path: the one scan fans out across
-// the gallery shards under the submitter's deadline. A shard-worker
-// panic is re-panicked here (the submitting goroutine) by the pool and
-// recovered into the query's error.
+// classify is one query's classification under its own job deadline,
+// with per-query panic recovery so one poisoned query cannot take its
+// batch neighbours (or the process) down. The single-query lane passes
+// the sharded gallery, so its one scan fans out across the shards (a
+// shard-worker panic is re-panicked here, in the submitting goroutine,
+// by the pool); the batch lane passes the 1-shard view, one unsharded
+// scan per image.
 //
 //snmatch:noalloc
-func (b *Batcher) classifyOne(ctx context.Context, img *imaging.Image) (pred pipeline.Prediction, stats pipeline.QueryStats, err error) {
+func (b *Batcher) classify(ctx context.Context, sg *pipeline.ShardedGallery, img *imaging.Image) (pred pipeline.Prediction, stats pipeline.QueryStats, err error) {
 	defer b.recoverQuery(&err)
-	return b.sg.ClassifyStatsCtx(ctx, b.p, img)
-}
-
-// classifyFlat is the batch path's per-image classification: one
-// unsharded scan per image, bounded by the image's own job deadline,
-// with per-image panic recovery so one poisoned query cannot take its
-// batch neighbours (or the process) down.
-//
-//snmatch:noalloc
-func (b *Batcher) classifyFlat(ctx context.Context, img *imaging.Image) (pred pipeline.Prediction, stats pipeline.QueryStats, err error) {
-	defer b.recoverQuery(&err)
-	if err = ctx.Err(); err != nil {
-		return pred, stats, err
-	}
-	if csc, ok := b.p.(ctxStatsClassifier); ok {
-		return csc.ClassifyStatsCtx(ctx, img, b.sg.G)
-	}
-	if sc, ok := b.p.(pipeline.StatsClassifier); ok {
-		pred, stats = sc.ClassifyStats(img, b.sg.G)
-		return pred, stats, nil
-	}
-	return b.p.Classify(img, b.sg.G), stats, nil
+	return sg.ClassifyStatsCtx(ctx, b.p, img)
 }
 
 func (b *Batcher) run(batch []*job, total int) {
@@ -391,7 +367,7 @@ func (b *Batcher) run(batch []*job, total int) {
 	b.obs.coalesce.ObserveDuration(int64(start.Sub(batch[0].enqueued)))
 	if total == 1 {
 		j := batch[0]
-		pred, stats, err := b.classifyOne(j.ctx, j.imgs[0])
+		pred, stats, err := b.classify(j.ctx, b.sg, j.imgs[0])
 		now := time.Now()
 		j.done <- []Result{{
 			Pred: pred, Batched: 1, Err: err,
@@ -413,7 +389,7 @@ func (b *Batcher) run(batch []*job, total int) {
 	stats := make([]pipeline.QueryStats, total)
 	errs := make([]error, total)
 	parallel.ForEach(b.workers, total, func(i int) {
-		preds[i], stats[i], errs[i] = b.classifyFlat(owner[i].ctx, flat[i])
+		preds[i], stats[i], errs[i] = b.classify(owner[i].ctx, b.oneShard, flat[i])
 	})
 	now := time.Now()
 	off := 0

@@ -559,7 +559,7 @@ type GalleryInfo struct {
 	Name        string         `json:"name"`
 	Views       int            `json:"views"`
 	Shards      int            `json:"shards"`
-	Index       string         `json:"index"`       // matching backend spec, e.g. "exact" or "mih(bits=16,radius=1)"
+	Index       string         `json:"index"`       // matching backend spec, e.g. "exact" or "ivf(nlists=auto,nprobe=8)"
 	Descriptors map[string]int `json:"descriptors"` // prepared kinds -> indexed descriptor rows
 }
 
