@@ -27,7 +27,6 @@ import (
 	"snmatch/internal/obs"
 	"snmatch/internal/pipeline"
 	"snmatch/internal/rng"
-	"snmatch/internal/serve"
 	"snmatch/internal/serve/snapshot"
 	"snmatch/internal/synth"
 )
@@ -281,7 +280,7 @@ func BenchmarkGalleryPrepareParallel(b *testing.B) {
 	b.Run("workers=cpu", run(0))
 }
 
-// --- Serving benches (sharded gallery + snapshot + batcher) ---
+// --- Serving benches (sharded gallery + snapshot) ---
 
 // BenchmarkServeThroughput measures steady-state serving throughput of
 // the single-query path — one SIFT query scanned across N index shards
@@ -426,32 +425,6 @@ func BenchmarkSceneRobustness(b *testing.B) {
 	}
 	b.ReportMetric(float64(loc)/float64(gt), "loc_acc")
 	b.ReportMetric(float64(correct)/float64(gt), "cls_acc")
-}
-
-// BenchmarkServeBatcher pushes concurrent queries through the request
-// batcher (the daemon's coalescing path) and reports aggregate
-// queries/sec — the serving-throughput number the ROADMAP's scaling
-// story tracks.
-func BenchmarkServeBatcher(b *testing.B) {
-	s := getBenchSuite(b)
-	p := pipeline.NewDescriptor(pipeline.ORB, 0.5)
-	p.Prepare(s.GallerySNS1, 0)
-	sg := pipeline.NewShardedGallery(s.GallerySNS1, 4)
-	bt := serve.NewBatcher(sg, p, serve.Config{MaxBatch: 16, BatchWait: time.Millisecond, QueueCap: 4096})
-	defer bt.Close()
-	ctx := context.Background()
-	img := s.SNS2.Samples[0].Image
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := bt.Submit(ctx, img); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "qps")
 }
 
 // BenchmarkSnapshot measures gallery snapshot save and load against the

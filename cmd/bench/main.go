@@ -53,7 +53,7 @@ type Report struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
-	benchRe := flag.String("bench", "BenchmarkRunParallelDescriptor|BenchmarkGoodMatchCount|BenchmarkRunParallel$|BenchmarkServeThroughput|BenchmarkServeBatcher|BenchmarkSnapshot$|BenchmarkSnapshotMap|BenchmarkQueryExtract|BenchmarkDetectScene|BenchmarkSceneRobustness|BenchmarkANNRecall|BenchmarkObsOverhead",
+	benchRe := flag.String("bench", "BenchmarkRunParallelDescriptor|BenchmarkGoodMatchCount|BenchmarkRunParallel$|BenchmarkServeThroughput|BenchmarkSnapshot$|BenchmarkSnapshotMap|BenchmarkQueryExtract|BenchmarkDetectScene|BenchmarkSceneRobustness|BenchmarkANNRecall|BenchmarkObsOverhead",
 		"benchmark regex passed to go test -bench")
 	benchTime := flag.String("benchtime", "3x", "go test -benchtime value")
 	count := flag.Int("count", 3, "go test -count repetitions (averaged)")

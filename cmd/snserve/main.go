@@ -1,6 +1,7 @@
 // Command snserve is the recognition daemon: it loads (or builds)
 // prepared galleries, shards their flat matching indexes, and serves
-// classification over HTTP with request batching and bounded admission.
+// classification over HTTP with bounded admission and a fixed number of
+// classification worker slots (-workers).
 //
 // Usage:
 //
@@ -73,8 +74,6 @@ func main() {
 	seed := fs.Uint64("seed", 1, "render seed for a built gallery")
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 4, "index shards scanned in parallel per query")
-	maxBatch := fs.Int("batch", 16, "max queries coalesced into one batch")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "coalescing window after the first queued query")
 	maxInFlight := fs.Int("max-inflight", 256, "admission bound on concurrent /classify requests")
 	ratio := fs.Float64("ratio", 0.5, "descriptor ratio-test threshold")
 	maxRegions := fs.Int("max-regions", 32, "region proposals classified per /detect scene")
@@ -82,7 +81,7 @@ func main() {
 	slowlogMS := fs.Int("slowlog-ms", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline for /classify and /detect; expired requests get 504 with their partial stage trace (0 disables)")
 	faults := fs.String("faults", os.Getenv(fault.EnvVar),
-		"fault-injection spec, e.g. 'batcher-enqueue:error:every=100'; points: snapshot-read, batcher-enqueue, shard-scan, swap (default $"+fault.EnvVar+")")
+		"fault-injection spec, e.g. 'classify-admit:error:every=100'; points: snapshot-read, classify-admit, shard-scan, swap (default $"+fault.EnvVar+")")
 	workers := cliutil.Workers(fs)
 	idxFlags := cliutil.RegisterIndexFlags(fs)
 	flag.Parse()
@@ -106,7 +105,8 @@ func main() {
 		start := time.Now()
 		if *mmap {
 			// The mapping's reference transfers to the registry; it lives
-			// for the process (replacement would release it after drain).
+			// for the process (a replacement would release it once the
+			// last request using it answers).
 			m, err := snapshot.Map(path)
 			if err != nil {
 				log.Fatalf("map %s: %v", path, err)
@@ -153,8 +153,6 @@ func main() {
 
 	srv := serve.New(reg, serve.Config{
 		Workers:     w,
-		MaxBatch:    *maxBatch,
-		BatchWait:   *batchWait,
 		MaxInFlight: *maxInFlight,
 		Ratio:       *ratio,
 		MaxRegions:  *maxRegions,
@@ -186,8 +184,8 @@ func main() {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
-	log.Printf("serving %d galleries on %s (index=%s shards=%d batch=%d wait=%s inflight=%d)",
-		reg.Len(), *addr, spec, *shards, *maxBatch, *batchWait, *maxInFlight)
+	log.Printf("serving %d galleries on %s (index=%s shards=%d inflight=%d)",
+		reg.Len(), *addr, spec, *shards, *maxInFlight)
 
 	select {
 	case err := <-done:
@@ -200,7 +198,6 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("shutdown: %v", err)
 	}
-	srv.Close()
 	log.Print("bye")
 }
 

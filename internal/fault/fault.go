@@ -1,6 +1,6 @@
 // Package fault provides named fault-injection points for the serving
 // stack's robustness tests and chaos drills. Each Point is a fixed site
-// in the serving path (snapshot read, batcher enqueue, shard scan,
+// in the serving path (snapshot read, classify admission, shard scan,
 // gallery swap) whose Check call is compiled into the production code
 // permanently: while the point is disarmed — the default — Check is a
 // single atomic pointer load returning nil, so the zero-allocation warm
@@ -15,7 +15,7 @@
 //	point:mode[:key=value]...[,point:mode...]
 //
 //	snapshot-read:error                     every snapshot read fails
-//	batcher-enqueue:error:every=2:after=1   calls 2, 4, 6, ... fail
+//	classify-admit:error:every=2:after=1    calls 2, 4, 6, ... fail
 //	shard-scan:latency:delay=25ms           every shard scan sleeps 25ms
 //	swap:panic:p=0.5:seed=7                 seeded coin per due call
 //
@@ -45,13 +45,14 @@ const (
 	// SnapshotRead guards the snapshot decode/map entry points: an armed
 	// error fails Load/Map/Read cleanly instead of handing out a gallery.
 	SnapshotRead Point = iota
-	// BatcherEnqueue guards batcher admission: an armed error refuses
-	// the submission (the HTTP layer maps it to 503 + Retry-After).
-	BatcherEnqueue
-	// ShardScan guards the per-shard index scan. Latency stretches a
-	// scan mid-batch; error and panic both surface as a panic there
-	// (the scan's error return is reserved for the context's error),
-	// exercising the per-request recovery.
+	// ClassifyAdmit fires once per image handed to classification,
+	// before it waits for a worker slot: an armed error refuses that
+	// image (the HTTP layer maps it to 503 + Retry-After).
+	ClassifyAdmit
+	// ShardScan guards the per-shard index scan. Latency stretches one
+	// shard's scan mid-query; error and panic both surface as a panic
+	// there (the scan's error return is reserved for the context's
+	// error), exercising the per-query recovery.
 	ShardScan
 	// Swap guards registry gallery replacement: an armed error fails the
 	// swap before it is applied, latency widens the swap window.
@@ -62,7 +63,7 @@ const (
 )
 
 var pointNames = [NumPoints]string{
-	"snapshot-read", "batcher-enqueue", "shard-scan", "swap",
+	"snapshot-read", "classify-admit", "shard-scan", "swap",
 }
 
 // String returns the point's wire name (the Arm spec key and the

@@ -31,12 +31,12 @@ func TestDisarmedCheckIsFree(t *testing.T) {
 // every=2:after=1, 0-based calls 1, 3, 5, ... fire.
 func TestArmErrorSchedule(t *testing.T) {
 	defer Disarm()
-	if err := Arm("batcher-enqueue:error:every=2:after=1"); err != nil {
+	if err := Arm("classify-admit:error:every=2:after=1"); err != nil {
 		t.Fatal(err)
 	}
 	var got []int
 	for i := 0; i < 6; i++ {
-		if err := Check(BatcherEnqueue); err != nil {
+		if err := Check(ClassifyAdmit); err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("call %d: %v is not ErrInjected", i, err)
 			}
@@ -125,6 +125,7 @@ func TestArmParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"snapshot-read",            // missing mode
 		"bogus-point:error",        // unknown point
+		"batcher-enqueue:error",    // renamed point (now classify-admit)
 		"swap:bogus",               // unknown mode
 		"swap:error:every=0",       // every must be positive
 		"swap:error:p=2",           // p out of range
@@ -148,10 +149,10 @@ func TestArmParseErrors(t *testing.T) {
 // that String/ParsePoint round-trip every point.
 func TestArmMultipleRules(t *testing.T) {
 	defer Disarm()
-	if err := Arm("snapshot-read:error, batcher-enqueue:latency:delay=1ms"); err != nil {
+	if err := Arm("snapshot-read:error, classify-admit:latency:delay=1ms"); err != nil {
 		t.Fatal(err)
 	}
-	if !Armed(SnapshotRead) || !Armed(BatcherEnqueue) {
+	if !Armed(SnapshotRead) || !Armed(ClassifyAdmit) {
 		t.Fatal("multi-rule spec did not arm both points")
 	}
 	if Armed(ShardScan) || Armed(Swap) {
@@ -173,8 +174,8 @@ func TestArmMultipleRules(t *testing.T) {
 // fires exactly 100 times.
 func TestConcurrentCheck(t *testing.T) {
 	defer Disarm()
-	before := Fired(BatcherEnqueue)
-	if err := Arm("batcher-enqueue:error:every=3"); err != nil {
+	before := Fired(ClassifyAdmit)
+	if err := Arm("classify-admit:error:every=3"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -183,12 +184,12 @@ func TestConcurrentCheck(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				Check(BatcherEnqueue)
+				Check(ClassifyAdmit)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := Fired(BatcherEnqueue) - before; n != 100 {
+	if n := Fired(ClassifyAdmit) - before; n != 100 {
 		t.Fatalf("every=3 over 300 concurrent calls fired %d times, want 100", n)
 	}
 }

@@ -19,12 +19,11 @@ const (
 	// StagePropose is /detect's region-proposal phase (zero on
 	// /classify traffic).
 	StagePropose
-	// StageQueue is the wait from batcher enqueue to being drawn into
-	// a batch.
+	// StageQueue is one image's wait for a classification worker slot.
 	StageQueue
-	// StageBatch is the coalescing wait from being drawn to the
-	// batch's classification starting.
-	StageBatch
+	// StageClassify is one image's classification wall time, from
+	// holding a worker slot to its prediction (extraction plus scan).
+	StageClassify
 	// StageExtract is descriptor extraction (decoded image -> packed
 	// query set).
 	StageExtract
@@ -43,7 +42,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"decode", "admission", "propose", "queue", "batch", "extract", "match", "verify",
+	"decode", "admission", "propose", "queue", "classify", "extract", "match", "verify",
 }
 
 // String returns the stage's wire name (the stages_ms key and the

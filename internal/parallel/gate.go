@@ -3,11 +3,12 @@ package parallel
 import "context"
 
 // Gate is a bounded admission counter: at most Cap callers hold it at
-// once. The serving layer uses it to shed load at the door — TryEnter
-// refuses immediately when the system is saturated instead of queueing
-// unbounded work — while batch producers that prefer waiting use the
-// context-aware Enter. The zero Gate is unusable; construct with
-// NewGate.
+// once. The serving layer uses it twice: to shed load at the door —
+// TryEnter refuses immediately when the system is saturated instead of
+// queueing unbounded work — and to cap the images classifying at once,
+// where each query waits for a slot with the context-aware Enter, so
+// its deadline bounds the wait. The zero Gate is unusable; construct
+// with NewGate.
 type Gate struct {
 	slots chan struct{}
 }

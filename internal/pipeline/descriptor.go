@@ -2,11 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
 	"snmatch/internal/features"
-	"snmatch/internal/features/match"
 	"snmatch/internal/imaging"
 	"snmatch/internal/obs"
 )
@@ -28,22 +28,30 @@ type QueryStats struct {
 // ratio 0.5.
 //
 // Extraction runs on pooled per-worker contexts (ExtractCtx): Classify
-// checks a context out of the pipeline's pool, extracts into it, and
-// recycles it after the scan, so the warm query path performs no heap
-// allocation from grayscale conversion to the flat-index counts.
+// checks a context out of the pipeline's free list, extracts into it,
+// and recycles it after the scan, so the warm query path performs no
+// heap allocation from grayscale conversion to the flat-index counts.
 type Descriptor struct {
 	Kind   DescriptorKind
 	Ratio  float64 // ratio-test threshold (paper tests 0.75 and 0.5)
 	Params DescriptorParams
 
-	// ctxs pools extraction contexts across concurrent Classify calls:
-	// every RunParallel worker, batcher lane and serving request checks
-	// a private context out per query and returns it warmed, so one
+	// free holds warm extraction contexts for concurrent Classify
+	// calls: every RunParallel worker and serving goroutine checks a
+	// private context out per query and returns it warmed, so one
 	// shared pipeline instance serves any degree of concurrency with
 	// zero steady-state allocation. (The pipeline is stateless with
 	// respect to the query stream, so no Forker clone is needed — the
-	// pool is the per-worker context mechanism.)
-	ctxs sync.Pool
+	// free list is the per-worker context mechanism.)
+	//
+	// It is a LIFO of at most GOMAXPROCS contexts rather than a
+	// sync.Pool: a pool's per-P caches miss while a warm context sits
+	// idle on another P, so queries spread over many goroutines build
+	// extra multi-MiB contexts; the LIFO hands out the warmest one from
+	// any goroutine, and no more contexts stay parked than can run at
+	// once. The zero list is empty and ready to use.
+	mu   sync.Mutex
+	free []*ExtractCtx
 }
 
 // NewDescriptor builds the pipeline with default extractor parameters.
@@ -54,36 +62,42 @@ func NewDescriptor(kind DescriptorKind, ratio float64) *Descriptor {
 // Name implements Pipeline.
 func (p *Descriptor) Name() string { return p.Kind.String() }
 
-// getCtx checks an extraction context out of the pool, creating one
-// when the pool is empty.
+// getCtx checks the most recently returned extraction context out of
+// the free list, creating one when the list is empty.
 func (p *Descriptor) getCtx() *ExtractCtx {
-	if c, ok := p.ctxs.Get().(*ExtractCtx); ok {
+	p.mu.Lock()
+	n := len(p.free)
+	if n == 0 {
+		p.mu.Unlock()
 		if pm := obsMetrics(); pm != nil {
-			pm.ctxHits.Inc()
-			pm.ctxPooled.Add(-int64(c.arena.Footprint()))
+			pm.ctxMisses.Inc()
 		}
-		return c
+		return NewExtractCtx()
 	}
+	c := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	p.mu.Unlock()
 	if pm := obsMetrics(); pm != nil {
-		pm.ctxMisses.Inc()
+		pm.ctxHits.Inc()
+		pm.ctxPooled.Add(-int64(c.arena.Footprint()))
 	}
-	return NewExtractCtx()
+	return c
 }
 
 // maxPooledCtxBytes caps the arena footprint a context may carry back
-// into the pool. Arenas never shrink, so without the cap one oversized
-// query would pin its high-water working set in every pooled context
-// for the life of the process (the warm path allocates nothing, so GC
-// — the only thing that drains a sync.Pool — rarely gets a reason to
-// run). 128 MiB comfortably holds the pyramids of ~512px queries;
-// anything beyond is served correctly but its context is dropped.
+// into the free list. Arenas never shrink, so without the cap one
+// oversized query would pin its high-water working set in a pooled
+// context for the life of the process. 128 MiB comfortably holds the
+// pyramids of ~512px queries; anything beyond is served correctly but
+// its context is dropped.
 const maxPooledCtxBytes = 128 << 20
 
-// putCtx recycles the context's buffers and returns it to the pool,
-// unless an oversized query inflated it past maxPooledCtxBytes — then
-// it is dropped for GC and the next query builds a fresh one.
-// Everything the context's arena backed — including the query set the
-// last extraction returned — is invalid afterwards.
+// putCtx recycles the context's buffers and pushes it onto the free
+// list, unless an oversized query inflated it past maxPooledCtxBytes or
+// the list already holds GOMAXPROCS contexts — then it is dropped for
+// GC. Everything the context's arena backed — including the query set
+// the last extraction returned — is invalid afterwards.
 func (p *Descriptor) putCtx(c *ExtractCtx) {
 	c.Reset()
 	pm := obsMetrics()
@@ -93,12 +107,16 @@ func (p *Descriptor) putCtx(c *ExtractCtx) {
 		}
 		return
 	}
+	p.mu.Lock()
+	if len(p.free) >= runtime.GOMAXPROCS(0) {
+		p.mu.Unlock()
+		return
+	}
+	p.free = append(p.free, c)
+	p.mu.Unlock()
 	if pm != nil {
-		// Approximate by design: GC drains the pool without notice, so
-		// the gauge can read high until the next checkout cycle.
 		pm.ctxPooled.Add(int64(c.arena.Footprint()))
 	}
-	p.ctxs.Put(c)
 }
 
 // classifyOn is the single copy of the pooled query protocol —
@@ -178,26 +196,6 @@ func classifyCounts(ctx context.Context, g *Gallery, mi MatchIndex, q *features.
 	}
 	ix.putCounts(countsPtr)
 	return best, nil
-}
-
-// classifyPerView is the legacy brute-force path — an independent 2-NN
-// match per gallery view — retained as the reference implementation the
-// flat index is verified against in the equivalence tests.
-func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction {
-	q := ExtractDescriptors(img, p.Kind, p.Params)
-	cached := g.descriptorSnapshot(p.Kind)
-	best := Prediction{Index: -1, Score: -1}
-	for i := range g.Views {
-		train := cached[i]
-		if train == nil {
-			train = g.descriptorOf(i, p.Kind, p.Params)
-		}
-		score := float64(match.GoodMatchCount(q, train, p.Ratio))
-		if score > best.Score {
-			best = Prediction{Class: g.ClassOf(i), Index: i, Score: score}
-		}
-	}
-	return best
 }
 
 // Prepare implements Preparer: extracting every gallery descriptor and

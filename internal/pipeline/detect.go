@@ -210,8 +210,9 @@ func proposeFrom(img *imaging.Image, fg *imaging.Gray, p DetectParams) []geom.Re
 // ProposeCrops returns the proposal regions together with their
 // NYU-style masked crops: background pixels inside each box are
 // blackened, so a crop looks exactly like the segmented region masks
-// the single-object pipelines were built for. The serving layer feeds
-// these crops through the batcher; Detect classifies them in-process.
+// the single-object pipelines were built for. The serving layer fans
+// these crops out over its worker slots; Detect classifies them
+// in-process.
 func ProposeCrops(img *imaging.Image, p DetectParams) ([]geom.Rect, []*imaging.Image) {
 	p = p.withDefaults()
 	fg := foregroundMask(img, p.BgTol)

@@ -19,10 +19,10 @@ import (
 //
 // A context is single-owner: it serves one extraction at a time, and
 // the Set that extraction returned is invalid once Reset runs. The
-// Descriptor pipeline checks contexts out of a sync.Pool per Classify,
-// so one shared pipeline instance serves RunParallel workers, batcher
-// lanes and concurrent HTTP requests alike — each query runs on a
-// private warmed context.
+// Descriptor pipeline checks contexts out of its free list per
+// Classify, so one shared pipeline instance serves RunParallel workers
+// and concurrent HTTP requests alike — each query runs on a private
+// warmed context.
 type ExtractCtx struct {
 	arena *arena.Arena
 	feat  features.Scratch

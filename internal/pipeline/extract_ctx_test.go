@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"snmatch/internal/arena"
@@ -153,9 +154,9 @@ func TestQueryPathAllocs(t *testing.T) {
 	// live instrumentation (stage trace, counters, histograms): the
 	// record path is pure atomic arithmetic, so the gate holds with
 	// metrics enabled — the invariant the CI obs alloc-gate step pins.
-	// The batch-lane rows drive the serving batcher's per-query path, a
-	// 1-shard ShardedGallery: its single-span Scan runs inline, without
-	// the fan-out closure.
+	// The one-shard rows drive the serving path on a 1-shard
+	// ShardedGallery (snserve -shards 1): its single-span Scan runs
+	// inline, without the fan-out closure.
 	for _, on := range []bool{false, true} {
 		name := "classify/obs=off"
 		if on {
@@ -182,7 +183,7 @@ func TestQueryPathAllocs(t *testing.T) {
 				t.Errorf("warm Classify allocates %.1f times per query, want 0", n)
 			}
 		})
-		t.Run(name+"/batch-lane", func(t *testing.T) {
+		t.Run(name+"/one-shard", func(t *testing.T) {
 			setObs()
 			defer DisableObs()
 			p := NewDescriptor(ORB, 0.5)
@@ -254,14 +255,12 @@ func TestQueryPathAllocs(t *testing.T) {
 	}
 }
 
-// TestOversizedContextIsDropped pins the pool hygiene rule: a context
-// whose arena footprint exceeds maxPooledCtxBytes is not re-pooled, so
-// one huge query cannot pin its high-water working set in the pool.
+// TestOversizedContextIsDropped pins the free list's hygiene rules: a
+// context whose arena footprint exceeds maxPooledCtxBytes is not
+// re-pooled, so one huge query cannot pin its high-water working set in
+// the pool; a small context put back is the next one handed out; and
+// at most GOMAXPROCS contexts stay parked.
 func TestOversizedContextIsDropped(t *testing.T) {
-	// No assertion that a small context IS re-pooled: sync.Pool gives
-	// no Put-then-Get identity guarantee (a GC may drain it), so only
-	// the negative direction — an oversized context must never come
-	// back — is deterministic.
 	p := NewDescriptor(ORB, 0.5)
 	big := NewExtractCtx()
 	for big.arena.Footprint() <= maxPooledCtxBytes {
@@ -275,6 +274,29 @@ func TestOversizedContextIsDropped(t *testing.T) {
 		if got := p.getCtx(); got == big {
 			t.Fatal("oversized context was returned to the pool")
 		}
+	}
+
+	small := NewExtractCtx()
+	p.putCtx(small)
+	if got := p.getCtx(); got != small {
+		t.Fatal("a small context put back was not the next one returned")
+	}
+
+	n := runtime.GOMAXPROCS(0)
+	put := map[*ExtractCtx]bool{}
+	for i := 0; i <= n; i++ {
+		c := NewExtractCtx()
+		put[c] = true
+		p.putCtx(c)
+	}
+	back := 0
+	for i := 0; i <= n; i++ {
+		if put[p.getCtx()] {
+			back++
+		}
+	}
+	if back != n {
+		t.Fatalf("%d of %d contexts put back came back, want GOMAXPROCS = %d", back, n+1, n)
 	}
 }
 

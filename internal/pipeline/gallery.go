@@ -313,19 +313,6 @@ func (g *Gallery) IndexedKinds() []DescriptorKind {
 	return kinds
 }
 
-// descriptorSnapshot returns every view's cached descriptor set of the
-// given kind under a single read lock (missing entries are nil), so a
-// prepared gallery's matching loop runs without per-view locking.
-func (g *Gallery) descriptorSnapshot(kind DescriptorKind) []*features.Set {
-	out := make([]*features.Set, len(g.Views))
-	g.mu.RLock()
-	for i := range g.Views {
-		out[i] = g.Views[i].Desc[kind]
-	}
-	g.mu.RUnlock()
-	return out
-}
-
 // descriptorOf returns the cached descriptor set of view i, extracting
 // and caching it on first use. It is safe for concurrent Classify
 // calls: hits take only a read lock, the store is write-locked, and

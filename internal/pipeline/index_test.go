@@ -7,8 +7,24 @@ import (
 	"snmatch/internal/dataset"
 	"snmatch/internal/features"
 	"snmatch/internal/features/match"
+	"snmatch/internal/imaging"
 	"snmatch/internal/rng"
 )
+
+// classifyPerView is the legacy brute-force path — an independent 2-NN
+// match per gallery view — retained as the reference implementation the
+// flat index is verified against in the equivalence tests.
+func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction {
+	q := ExtractDescriptors(img, p.Kind, p.Params)
+	best := Prediction{Index: -1, Score: -1}
+	for i := range g.Views {
+		score := float64(match.GoodMatchCount(q, g.descriptorOf(i, p.Kind, p.Params), p.Ratio))
+		if score > best.Score {
+			best = Prediction{Class: g.ClassOf(i), Index: i, Score: score}
+		}
+	}
+	return best
+}
 
 // randFloatSet draws integer-valued components so distances are exact
 // and small vocabularies produce genuine ties; spread>1 vocabularies

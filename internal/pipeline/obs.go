@@ -56,7 +56,7 @@ func EnableObs(r *obs.Registry) {
 	pm.ctxDrops = r.Counter("snmatch_ctx_pool_drops_total",
 		"Contexts dropped at recycle because an oversized query inflated them past the pool cap.")
 	pm.ctxPooled = r.Gauge("snmatch_ctx_pooled_bytes",
-		"Approximate arena bytes parked in the extraction-context pool (GC pool drains are not observed, so this can read high).")
+		"Arena bytes parked in the extraction-context pool.")
 	r.CounterFunc("snmatch_arena_allocated_bytes_total",
 		"Process-lifetime arena buffer capacity allocated from the heap.",
 		arena.TotalAllocated)

@@ -32,7 +32,6 @@ type RegionJSON struct {
 	ClassID   int     `json:"class_id"`
 	View      int     `json:"view"`
 	Score     float64 `json:"score"`
-	Batched   int     `json:"batched"`
 	LatencyMS float64 `json:"latency_ms"`
 
 	// StagesMS breaks the crop's latency_ms down by pipeline stage (see
@@ -54,9 +53,9 @@ type DetectResponse struct {
 
 // handleDetect is the scene endpoint: one PNG in, per-region
 // classifications out. Region proposal runs inline (it is cheap and
-// deterministic); the per-crop classifications ride the same batcher,
-// admission gate and drain machinery as /classify, so a multi-object
-// scene coalesces into batches exactly like a JSON image batch does.
+// deterministic); the crops then fan out through classifyAll exactly
+// like a JSON image batch, under the same admission gate and worker
+// slots as /classify.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	m := s.obs
 	m.detect.reqs.Inc()
@@ -79,17 +78,14 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var tr obs.Trace
 	tr.Set(obs.StageAdmission, time.Since(t0))
 
-	name, _, err := s.reg.Resolve(r.URL.Query().Get("gallery"))
+	name, e, err := s.reg.acquire(r.URL.Query().Get("gallery"))
 	if err != nil {
 		m.detect.errs.Inc()
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	pipeName := r.URL.Query().Get("pipeline")
-	if pipeName == "" {
-		pipeName = "hybrid"
-	}
-	p, err := ParsePipeline(pipeName, s.cfg.Ratio)
+	defer e.release()
+	p, err := s.pipelineFor(r.URL.Query().Get("pipeline"))
 	if err != nil {
 		m.detect.errs.Inc()
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -130,67 +126,27 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	propStart := time.Now()
 	regions, crops := pipeline.ProposeCrops(img, pipeline.DetectParams{MaxRegions: s.cfg.MaxRegions})
 	tr.Set(obs.StagePropose, time.Since(propStart))
-	resp := DetectResponse{Gallery: name, Pipeline: p.Name(), Regions: make([]RegionJSON, len(regions))}
-	if len(regions) == 0 {
-		m.observeStages(&tr)
-		m.detect.latency.ObserveDuration(int64(time.Since(t0)))
-		resp.StagesMS = tr.MSMap()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	b, err := s.batcherFor(name, pipeName, p)
-	if err != nil {
-		m.detect.errs.Inc()
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	// The whole scene travels as one queue entry: one hand-off, one
-	// batch window, and the crops are classified together instead of
-	// racing N goroutines through the queue.
-	results, err := b.SubmitSceneWait(ctx, crops)
-	if err != nil {
-		status, retry := errStatus(err)
-		if retry {
-			w.Header().Set("Retry-After", "1")
-		}
-		if status == http.StatusGatewayTimeout {
-			m.deadlineExceeded.Inc()
-		}
-		m.detect.errs.Inc()
-		httpErrorStages(w, status, err.Error(), tr.MSMap())
-		return
-	}
-	var worst Result
-	for i, res := range results {
-		m.observeResult(res)
-		if res.Latency > worst.Latency {
-			worst = res
-		}
-		resp.Regions[i] = RegionJSON{
-			Box:       boxJSON(regions[i]),
-			Class:     res.Pred.Class.String(),
-			ClassID:   int(res.Pred.Class),
-			View:      res.Pred.Index,
-			Score:     res.Pred.Score,
-			Batched:   res.Batched,
-			LatencyMS: float64(res.Latency) / float64(time.Millisecond),
-			StagesMS:  resultStagesMS(res),
-		}
-	}
+	results, err := s.classifyAll(ctx, e.sg, p, crops)
 	m.observeStages(&tr)
 	elapsed := time.Since(t0)
-	m.detect.latency.ObserveDuration(int64(elapsed))
-	resp.StagesMS = tr.MSMap()
-	writeJSON(w, http.StatusOK, resp)
-	if s.cfg.SlowLog > 0 && elapsed >= s.cfg.SlowLog {
-		stages := tr.MSMap()
-		if stages == nil {
-			stages = map[string]float64{}
+	status := http.StatusOK
+	if err != nil {
+		status = s.classifyFailed(w, &m.detect, err, &tr)
+	} else {
+		m.detect.latency.ObserveDuration(int64(elapsed))
+		resp := DetectResponse{Gallery: name, Pipeline: p.Name(), Regions: make([]RegionJSON, len(regions)), StagesMS: tr.MSMap()}
+		for i, res := range results {
+			resp.Regions[i] = RegionJSON{
+				Box:       boxJSON(regions[i]),
+				Class:     res.Pred.Class.String(),
+				ClassID:   int(res.Pred.Class),
+				View:      res.Pred.Index,
+				Score:     res.Pred.Score,
+				LatencyMS: float64(res.Latency) / float64(time.Millisecond),
+				StagesMS:  resultStagesMS(res),
+			}
 		}
-		for k, v := range resultStagesMS(worst) {
-			stages[k] = v
-		}
-		s.slowLog("detect", name, p.Name(), len(crops), http.StatusOK, elapsed, stages)
+		writeJSON(w, http.StatusOK, resp)
 	}
+	s.slowLog("detect", name, p.Name(), len(crops), status, elapsed, &tr, results)
 }

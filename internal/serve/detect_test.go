@@ -57,7 +57,7 @@ func TestDetectScene(t *testing.T) {
 			t.Errorf("region %d: served %s/%d/%v, direct %s/%d/%v",
 				i, r.Class, r.View, r.Score, w.Class, w.Index, w.Score)
 		}
-		if r.Batched < 1 || r.LatencyMS < 0 {
+		if r.LatencyMS < 0 {
 			t.Errorf("region %d: bad serving metadata %+v", i, r)
 		}
 	}

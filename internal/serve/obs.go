@@ -21,7 +21,8 @@ type epMetrics struct {
 
 // serveMetrics is the serving stack's instrumentation surface, wired
 // once per process into obs.Default. Every cell is resolved at wire-up;
-// the handlers, batchers and registry record through struct fields.
+// the handlers, the per-query classify path and the registry record
+// through struct fields.
 type serveMetrics struct {
 	classify  epMetrics
 	detect    epMetrics
@@ -29,11 +30,6 @@ type serveMetrics struct {
 	healthz   epMetrics
 
 	admissionRejects *obs.Counter // 503s at the admission gate
-	sheds            *obs.Counter // batcher queue-full refusals
-
-	queueDepth *obs.Gauge     // jobs sitting in batcher queues right now
-	batchSize  *obs.Histogram // images per executed batch
-	coalesce   *obs.Histogram // first-enqueue -> batch-start wait
 
 	stages [obs.NumStages]*obs.Histogram // aggregated per-stage latency
 
@@ -50,8 +46,8 @@ var (
 
 // serveObs returns the process-wide serving metrics, wiring them (and
 // the pipeline's instrumentation) into obs.Default on first use. Every
-// Server and standalone Batcher records here; the /metrics and /statz
-// endpoints render the same registry.
+// Server records here; the /metrics and /statz endpoints render the
+// same registry.
 func serveObs() *serveMetrics {
 	smOnce.Do(func() {
 		r := obs.Default
@@ -71,14 +67,6 @@ func serveObs() *serveMetrics {
 		}
 		m.admissionRejects = r.Counter("snmatch_admission_rejects_total",
 			"Requests shed with 503 at the admission gate (MaxInFlight).")
-		m.sheds = r.Counter("snmatch_batch_sheds_total",
-			"Classification submissions refused because a batcher queue was full.")
-		m.queueDepth = r.Gauge("snmatch_queue_depth",
-			"Jobs currently waiting in batcher queues, summed across batchers.")
-		m.batchSize = r.Histogram("snmatch_batch_size",
-			"Images per executed classification batch.", obs.ScaleNone)
-		m.coalesce = r.Histogram("snmatch_batch_coalesce_seconds",
-			"Wait from a batch's first enqueue to its classification starting.", obs.ScaleNanos)
 		st := r.HistogramVec("snmatch_stage_seconds",
 			"Per-request stage latency, by pipeline stage (match/verify are CPU time across shard workers).",
 			obs.ScaleNanos, "stage", obs.StageNames()...)
@@ -104,13 +92,13 @@ func (m *serveMetrics) observeStages(tr *obs.Trace) {
 	})
 }
 
-// observeResult folds one classified query's batcher-side stage
-// breakdown into the aggregate per-stage histograms. Queue and batch
-// are always known; the pipeline-side stages only when the pipeline
-// reports stats (and match/verify only while tracing is live).
+// observeResult folds one classified query's stage breakdown into the
+// aggregate per-stage histograms. Queue and classify are always known;
+// the pipeline-side stages only when the pipeline reports stats (and
+// match/verify only while tracing is live).
 func (m *serveMetrics) observeResult(res Result) {
 	m.stages[obs.StageQueue].ObserveDuration(int64(res.Queue))
-	m.stages[obs.StageBatch].ObserveDuration(int64(res.Batch))
+	m.stages[obs.StageClassify].ObserveDuration(int64(res.Classify))
 	if res.Extract > 0 {
 		m.stages[obs.StageExtract].ObserveDuration(int64(res.Extract))
 	}
@@ -132,7 +120,7 @@ func resultStagesMS(res Result) map[string]float64 {
 		}
 	}
 	put(obs.StageQueue, res.Queue)
-	put(obs.StageBatch, res.Batch)
+	put(obs.StageClassify, res.Classify)
 	put(obs.StageExtract, res.Extract)
 	put(obs.StageMatch, res.Match)
 	put(obs.StageVerify, res.Verify)
@@ -193,11 +181,25 @@ type slowLogEntry struct {
 
 // slowLog writes one slow-query line when the request's end-to-end
 // latency reached the configured threshold. The full stage trace —
-// request-level stages merged with the per-prediction maximum — rides
-// along so the offending phase is visible without re-running the query.
-func (s *Server) slowLog(endpoint, gallery, pipeName string, images, status int, elapsed time.Duration, stages map[string]float64) {
+// the request-level stages of tr merged with the slowest result's —
+// rides along so the offending phase is visible without re-running
+// the query.
+func (s *Server) slowLog(endpoint, gallery, pipeName string, images, status int, elapsed time.Duration, tr *obs.Trace, results []Result) {
 	if s.cfg.SlowLog <= 0 || elapsed < s.cfg.SlowLog {
 		return
+	}
+	var worst Result
+	for _, res := range results {
+		if res.Latency > worst.Latency {
+			worst = res
+		}
+	}
+	stages := tr.MSMap()
+	if stages == nil {
+		stages = map[string]float64{}
+	}
+	for k, v := range resultStagesMS(worst) {
+		stages[k] = v
 	}
 	w := s.cfg.SlowLogW
 	if w == nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"snmatch/internal/imaging"
 	"snmatch/internal/obs"
 	"snmatch/internal/pipeline"
 )
@@ -55,13 +53,13 @@ func getMetrics(t *testing.T, url string) string {
 	return string(buf)
 }
 
-// TestMetricsEndpoint drives real traffic — a successful /classify, an
-// admission-shed 503 and a batcher queue shed — then asserts the served
-// /metrics and /statz move accordingly. The obs registry is process
-// global (other tests in the package also record into it), so every
-// assertion is a delta against a baseline snapshot, never an absolute.
+// TestMetricsEndpoint drives real traffic — a successful /classify and
+// an admission-shed 503 — then asserts the served /metrics and /statz
+// move accordingly. The obs registry is process global (other tests in
+// the package also record into it), so every assertion is a delta
+// against a baseline snapshot, never an absolute.
 func TestMetricsEndpoint(t *testing.T) {
-	g, queries := fixture(t)
+	_, queries := fixture(t)
 	_, ts := newTestServer(t, Config{})
 	before := getStatz(t, ts.URL)
 
@@ -74,12 +72,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("got %d predictions", len(out.Predictions))
 	}
 	// The response carries the stage breakdown: request-level decode,
-	// per-prediction queue/batch/extract.
+	// per-prediction queue/classify/extract.
 	if out.StagesMS["decode"] <= 0 {
 		t.Fatalf("response stages_ms missing decode: %v", out.StagesMS)
 	}
 	ps := out.Predictions[0].StagesMS
-	for _, stage := range []string{"queue", "batch", "extract"} {
+	for _, stage := range []string{"queue", "classify", "extract"} {
 		if ps[stage] <= 0 {
 			t.Fatalf("prediction stages_ms missing %q: %v", stage, ps)
 		}
@@ -96,46 +94,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("saturated server answered %d, want 503", resp503.StatusCode)
 	}
 
-	// One batcher queue shed on a cap-1 standalone batcher: a large
-	// scene job pins the collection loop in classification, so of two
-	// concurrent fail-fast submits one fills the single queue slot and
-	// the other must shed. Retried in case the scene drains implausibly
-	// fast.
-	sg := pipeline.NewShardedGallery(g, 1)
-	b := newBatcher(sg, pipeline.NewDescriptor(pipeline.ORB, 0.5), 1, 1, 1, 0, nil)
-	defer b.Close()
-	shed := false
-	for round := 0; round < 5 && !shed; round++ {
-		crops := make([]*imaging.Image, 256)
-		for i := range crops {
-			crops[i] = queries.Samples[0].Image
-		}
-		sceneDone := make(chan struct{})
-		go func() {
-			b.SubmitSceneWait(context.Background(), crops)
-			close(sceneDone)
-		}()
-		time.Sleep(2 * time.Millisecond) // let the loop draw the scene job
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := b.Submit(context.Background(), queries.Samples[0].Image); err == ErrOverloaded {
-					mu.Lock()
-					shed = true
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		<-sceneDone
-	}
-	if !shed {
-		t.Fatal("no submission was shed against a cap-1 queue")
-	}
-
 	after := getStatz(t, ts.URL)
 	cDelta := func(key string) int64 { return after.Counters[key] - before.Counters[key] }
 	if d := cDelta(`snmatch_requests_total{endpoint="classify"}`); d < 2 {
@@ -147,9 +105,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if d := cDelta("snmatch_admission_rejects_total"); d < 1 {
 		t.Fatalf("admission reject counter moved by %d, want >= 1", d)
 	}
-	if d := cDelta("snmatch_batch_sheds_total"); d < 1 {
-		t.Fatalf("batch shed counter moved by %d, want >= 1", d)
-	}
 	lat := `snmatch_request_seconds{endpoint="classify"}`
 	if d := after.Histograms[lat].Count - before.Histograms[lat].Count; d < 1 {
 		t.Fatalf("latency histogram count moved by %d, want >= 1", d)
@@ -157,14 +112,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if after.Histograms[lat].Mean <= 0 {
 		t.Fatal("latency histogram has zero mean after traffic")
 	}
-	for _, stage := range []string{"queue", "batch", "extract", "match"} {
+	for _, stage := range []string{"queue", "classify", "extract", "match"} {
 		key := `snmatch_stage_seconds{stage="` + stage + `"}`
 		if after.Histograms[key].Count == 0 {
 			t.Fatalf("stage histogram %s empty after traffic", key)
 		}
-	}
-	if after.Histograms["snmatch_batch_size"].Count == 0 {
-		t.Fatal("batch size histogram empty after traffic")
 	}
 
 	// The Prometheus text page must carry the same families as samples,
@@ -177,8 +129,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`snmatch_request_seconds_count{endpoint="classify"} `,
 		`snmatch_request_seconds_bucket{endpoint="classify",le="+Inf"} `,
 		`snmatch_stage_seconds_count{stage="extract"} `,
-		"# TYPE snmatch_queue_depth gauge",
-		"snmatch_batch_sheds_total ",
 		"snmatch_admission_rejects_total ",
 		"snmatch_ctx_pool_hits_total",
 		"snmatch_arena_allocated_bytes_total ",
@@ -186,11 +136,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-
-	// The queue depth gauge must return to zero once traffic drains.
-	if v := after.Gauges["snmatch_queue_depth"]; v != 0 {
-		t.Fatalf("queue depth %d after drain, want 0", v)
 	}
 }
 
@@ -271,7 +216,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if entry.LatencyMS <= 0 {
 		t.Fatal("slow-query entry has no latency")
 	}
-	for _, stage := range []string{"decode", "queue", "batch", "extract"} {
+	for _, stage := range []string{"decode", "queue", "classify", "extract"} {
 		if entry.StagesMS[stage] <= 0 {
 			t.Fatalf("slow-query stages_ms missing %q: %v", stage, entry.StagesMS)
 		}

@@ -1,9 +1,10 @@
 // Package serve is the recognition serving layer: a registry of
-// prepared, sharded galleries, a request batcher that coalesces
-// concurrent classification traffic into pooled batches, and the HTTP
-// handlers the snserve daemon exposes. It turns the batch reproduction
-// into a long-lived service: galleries are prepared (or snapshot-loaded)
-// once, then queried many times.
+// prepared, sharded galleries and the HTTP handlers the snserve daemon
+// exposes. Each request classifies its images on its own goroutines,
+// one sharded scan per image, under a gate of worker slots shared by
+// all requests. It turns the batch reproduction into a long-lived
+// service: galleries are prepared (or snapshot-loaded) once, then
+// queried many times.
 package serve
 
 import (
@@ -20,9 +21,9 @@ import (
 // concretely a *snapshot.Mapping, whose gallery aliases a memory-mapped
 // file and must not be unmapped while anything can still scan it. The
 // registry holds one reference for as long as the entry is registered,
-// and every batcher serving the gallery holds its own for its lifetime,
-// so replacing a gallery under live traffic releases the mapping only
-// after the last in-flight classify has returned.
+// and every in-flight request retains its own until it answers, so
+// replacing a gallery under live traffic releases the mapping only
+// after the last request classifying on it has returned.
 type Resource interface {
 	Retain()
 	Release()
@@ -41,15 +42,13 @@ type entry struct {
 // serving. It is safe for concurrent use; galleries can be registered
 // while traffic is being served.
 type Registry struct {
-	mu        sync.RWMutex
-	m         map[string]entry
-	watchers  map[int]func(name string)
-	nextWatch int
+	mu sync.RWMutex
+	m  map[string]entry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{m: map[string]entry{}, watchers: map[int]func(string){}}
+	return &Registry{m: map[string]entry{}}
 }
 
 // Add registers (or replaces) a gallery under name, without provenance.
@@ -66,7 +65,7 @@ func (r *Registry) AddWithMeta(name string, g *pipeline.ShardedGallery, meta sna
 // AddMapped registers a gallery backed by res (a *snapshot.Mapping),
 // transferring the caller's reference to the registry: the registry
 // releases it when the entry is replaced, at which point the mapping
-// lives on only through whatever batchers are still draining on it.
+// lives on only through the requests still classifying on it.
 func (r *Registry) AddMapped(name string, g *pipeline.ShardedGallery, meta snapshot.Meta, res Resource) error {
 	return r.add(name, entry{sg: g, meta: meta, hasMeta: true, res: res})
 }
@@ -87,61 +86,52 @@ func (r *Registry) add(name string, e entry) error {
 	r.mu.Lock()
 	old := r.m[name]
 	r.m[name] = e
-	watchers := make([]func(string), 0, len(r.watchers))
-	for _, fn := range r.watchers {
-		watchers = append(watchers, fn)
-	}
 	r.mu.Unlock()
 	if old.sg != nil && old.sg != e.sg {
 		serveObs().swaps.Inc()
-		// Replacement: notify watchers (the server retires the stale
-		// batchers eagerly, so a replaced gallery's backing storage is
-		// released after its in-flight drain even if no request for
-		// that (gallery, pipeline) key ever arrives again)...
-		for _, fn := range watchers {
-			fn(name)
-		}
 	}
 	if old.res != nil && old.res != e.res {
-		// ...then drop the registry's own reference; in-flight users
-		// hold their own. Re-registering the SAME mapping (e.g. to
-		// change the shard count) keeps the one reference the registry
-		// owes for the name instead of releasing a still-served one.
+		// Drop the registry's own reference; in-flight requests hold
+		// their own. Re-registering the SAME mapping (e.g. to change
+		// the shard count) keeps the one reference the registry owes
+		// for the name instead of releasing a still-served one.
 		old.res.Release()
 	}
 	return nil
 }
 
-// watch registers a replacement callback, invoked (outside the
-// registry lock) with the gallery name whenever an Add replaces an
-// existing gallery. The returned func unregisters it — a Server
-// removes its watcher on Close, so a long-lived registry does not
-// accumulate (and keep reachable) every server it ever backed.
-func (r *Registry) watch(fn func(name string)) (unwatch func()) {
-	r.mu.Lock()
-	id := r.nextWatch
-	r.nextWatch++
-	r.watchers[id] = fn
-	r.mu.Unlock()
-	return func() {
-		r.mu.Lock()
-		delete(r.watchers, id)
-		r.mu.Unlock()
-	}
-}
-
-// acquire returns the current entry for name with its backing resource
-// retained under the registry lock, so the caller's use can never race
-// a replacement's final release. Callers must release the returned
-// entry's res (when non-nil) exactly once.
-func (r *Registry) acquire(name string) (entry, bool) {
+// acquire resolves a request's gallery — the named one, or the sole
+// registered gallery when the request names none — and retains its
+// backing resource under the registry lock, so the request's scans can
+// never race a replacement's final release. The returned name is the
+// registry key. The caller must release the entry exactly once.
+func (r *Registry) acquire(name string) (string, entry, error) {
 	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if name == "" {
+		if len(r.m) != 1 {
+			return "", entry{}, fmt.Errorf("serve: request must name a gallery (%d registered)", len(r.m))
+		}
+		for n := range r.m {
+			name = n
+		}
+	}
 	e, ok := r.m[name]
-	if ok && e.res != nil {
+	if !ok {
+		return "", entry{}, fmt.Errorf("serve: unknown gallery %q", name)
+	}
+	if e.res != nil {
 		e.res.Retain()
 	}
-	r.mu.RUnlock()
-	return e, ok
+	return name, e, nil
+}
+
+// release drops the reference acquire took (a no-op for heap-backed
+// galleries).
+func (e entry) release() {
+	if e.res != nil {
+		e.res.Release()
+	}
 }
 
 // Get returns the gallery registered under name.
@@ -162,27 +152,6 @@ func (r *Registry) Entry(name string) (sg *pipeline.ShardedGallery, meta snapsho
 	e, ok := r.m[name]
 	r.mu.RUnlock()
 	return e.sg, e.meta, e.hasMeta, ok
-}
-
-// Resolve returns the gallery for a request: the named one, or — when
-// the request names none — the sole registered gallery. The returned
-// name is always the registry key.
-func (r *Registry) Resolve(name string) (string, *pipeline.ShardedGallery, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if name == "" {
-		if len(r.m) == 1 {
-			for n, e := range r.m {
-				return n, e.sg, nil
-			}
-		}
-		return "", nil, fmt.Errorf("serve: request must name a gallery (%d registered)", len(r.m))
-	}
-	e, ok := r.m[name]
-	if !ok {
-		return "", nil, fmt.Errorf("serve: unknown gallery %q", name)
-	}
-	return name, e.sg, nil
 }
 
 // Names returns the registered gallery names in sorted order.

@@ -4,16 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"snmatch/internal/fault"
+	"snmatch/internal/imaging"
 	"snmatch/internal/pipeline"
 )
 
@@ -95,20 +99,20 @@ func TestDeadlineExpiresMidPipeline(t *testing.T) {
 	}
 }
 
-// TestBatcherEnqueueFault503 pins the fault-injection smoke contract:
-// an armed batcher-enqueue error surfaces as a clean retryable 503
+// TestClassifyAdmitFault503 pins the fault-injection smoke contract:
+// an armed classify-admit error surfaces as a clean retryable 503
 // (Retry-After set), the injection counter ticks, and disarming
 // restores normal service.
-func TestBatcherEnqueueFault503(t *testing.T) {
+func TestClassifyAdmitFault503(t *testing.T) {
 	_, queries := fixture(t)
 	_, ts := newTestServer(t, Config{})
 	png := pngBytes(t, queries.Samples[0].Image)
 
 	defer fault.Disarm()
-	if err := fault.Arm("batcher-enqueue:error"); err != nil {
+	if err := fault.Arm("classify-admit:error"); err != nil {
 		t.Fatal(err)
 	}
-	before := fault.Fired(fault.BatcherEnqueue)
+	before := fault.Fired(fault.ClassifyAdmit)
 	resp, err := http.Post(ts.URL+"/classify?pipeline=orb", "image/png", bytes.NewReader(png))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +125,7 @@ func TestBatcherEnqueueFault503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("injected-fault 503 is missing Retry-After")
 	}
-	if fault.Fired(fault.BatcherEnqueue) <= before {
+	if fault.Fired(fault.ClassifyAdmit) <= before {
 		t.Fatal("snmatch_fault_injections_total did not tick")
 	}
 
@@ -132,15 +136,17 @@ func TestBatcherEnqueueFault503(t *testing.T) {
 	}
 }
 
-// TestPanicFaultRecovered pins per-request panic recovery: an armed
+// TestPanicFaultRecovered pins per-query panic recovery: an armed
 // panic-mode shard-scan fault crashes the scan worker, the recovery
 // converts it into an error answer (a retryable 503 here, since the
 // panic value wraps fault.ErrInjected), snmatch_panics_total ticks —
-// and the process keeps serving.
+// and the process keeps serving: the next answer equals the serial
+// pipeline's.
 func TestPanicFaultRecovered(t *testing.T) {
-	_, queries := fixture(t)
+	g, queries := fixture(t)
 	_, ts := newTestServer(t, Config{})
-	png := pngBytes(t, queries.Samples[0].Image)
+	img := queries.Samples[0].Image
+	png := pngBytes(t, img)
 
 	defer fault.Disarm()
 	if err := fault.Arm("shard-scan:panic"); err != nil {
@@ -168,139 +174,133 @@ func TestPanicFaultRecovered(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || len(out.Predictions) != 1 {
 		t.Fatalf("post-panic request: status %d, %d predictions — the worker did not survive", resp2.StatusCode, len(out.Predictions))
 	}
-}
-
-// TestBatcherPanicIsPerQuery pins the recovery at the batcher layer
-// directly: a panic-mode fault poisons one submission's scan, the
-// submitter gets an error wrapping both ErrPanic and the injected
-// fault, and the next (disarmed) submission classifies normally on the
-// same batcher.
-func TestBatcherPanicIsPerQuery(t *testing.T) {
-	g, queries := fixture(t)
-	b := NewBatcher(pipeline.NewShardedGallery(g, 4), pipeline.NewDescriptor(pipeline.ORB, 0.5), Config{})
-	defer b.Close()
-	img := queries.Samples[0].Image
-
-	defer fault.Disarm()
-	if err := fault.Arm("shard-scan:panic"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := b.SubmitWait(context.Background(), img)
-	if !errors.Is(err, ErrPanic) || !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("poisoned submission returned %v; want ErrPanic wrapping ErrInjected", err)
-	}
-	fault.Disarm()
 	want := pipeline.NewDescriptor(pipeline.ORB, 0.5).Classify(img, g)
-	res, err := b.SubmitWait(context.Background(), img)
-	if err != nil {
-		t.Fatalf("batcher did not survive the panic: %v", err)
-	}
-	if res.Pred != want {
-		t.Fatalf("post-panic prediction %+v, want %+v", res.Pred, want)
+	if p := out.Predictions[0]; p.Class != want.Class.String() || p.View != want.Index || p.Score != want.Score {
+		t.Fatalf("post-panic prediction %+v, want %+v", p, want)
 	}
 }
 
-// TestMidBatchCancelKeepsNeighboursBitEqual pins batch isolation: one
-// submitter's context dying mid-coalesce fails only that query — its
-// batch neighbours classify and their predictions are bit-identical to
-// the serial pipeline.
-func TestMidBatchCancelKeepsNeighboursBitEqual(t *testing.T) {
+// TestCancelWhileQueuedKeepsOthersBitEqual pins query isolation at the
+// worker gate. With the only slot held, one query's context is
+// cancelled while it waits: it returns context.Canceled with no result,
+// and never classifies, since the slot stays held until it has
+// returned. Once the slot frees, the two queries queued beside it
+// classify bit-identically to the serial pipeline.
+func TestCancelWhileQueuedKeepsOthersBitEqual(t *testing.T) {
 	g, queries := fixture(t)
 	d := pipeline.NewDescriptor(pipeline.ORB, 0.5)
 	qa, qb, qc := queries.Samples[0].Image, queries.Samples[1].Image, queries.Samples[2].Image
 	wantA, wantB := d.Classify(qa, g), d.Classify(qb, g)
 
-	// A long coalescing window guarantees all three submissions ride
-	// one batch; C's context is cancelled inside that window, before
-	// the batch starts classifying.
-	b := NewBatcher(pipeline.NewShardedGallery(g, 4), d, Config{MaxBatch: 8, BatchWait: 250 * time.Millisecond})
-	defer b.Close()
-
+	s := New(NewRegistry(), Config{Workers: 1})
+	sg := pipeline.NewShardedGallery(g, 4)
+	p, err := s.pipelineFor("orb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.workers.TryEnter() {
+		t.Fatal("could not take the only worker slot")
+	}
+	type answer struct {
+		res Result
+		err error
+	}
+	classify := func(ctx context.Context, img *imaging.Image) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			res, err := s.classify(ctx, sg, p, img)
+			ch <- answer{res, err}
+		}()
+		return ch
+	}
 	ctxC, cancelC := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var resA, resB Result
-	var errA, errB, errC error
-	wg.Add(3)
-	go func() { defer wg.Done(); resA, errA = b.SubmitWait(context.Background(), qa) }()
-	go func() { defer wg.Done(); resB, errB = b.SubmitWait(context.Background(), qb) }()
-	go func() {
-		defer wg.Done()
-		time.Sleep(20 * time.Millisecond) // enqueue first, then die mid-window
-		_, errC = b.SubmitWait(ctxC, qc)
-	}()
-	time.Sleep(60 * time.Millisecond)
+	a := classify(context.Background(), qa)
+	b := classify(context.Background(), qb)
+	c := classify(ctxC, qc)
 	cancelC()
-	wg.Wait()
 
-	if errC == nil {
-		t.Fatal("cancelled submitter got a result")
+	rc := <-c
+	if !errors.Is(rc.err, context.Canceled) {
+		t.Fatalf("cancelled query returned %v, want context.Canceled", rc.err)
 	}
-	if !errors.Is(errC, context.Canceled) {
-		t.Fatalf("cancelled submitter got %v, want context.Canceled", errC)
+	if rc.res != (Result{}) {
+		t.Fatalf("cancelled query carries a result: %+v", rc.res)
 	}
-	if errA != nil || errB != nil {
-		t.Fatalf("neighbours failed: %v / %v", errA, errB)
+	select {
+	case r := <-a:
+		t.Fatalf("query A answered while the only slot was held: %+v", r)
+	case r := <-b:
+		t.Fatalf("query B answered while the only slot was held: %+v", r)
+	default:
 	}
-	if resA.Pred != wantA || resB.Pred != wantB {
+
+	s.workers.Leave()
+	ra, rb := <-a, <-b
+	if ra.err != nil || rb.err != nil {
+		t.Fatalf("queued neighbours failed: %v / %v", ra.err, rb.err)
+	}
+	if ra.res.Pred != wantA || rb.res.Pred != wantB {
 		t.Fatalf("neighbour predictions diverged from serial:\n  A %+v want %+v\n  B %+v want %+v",
-			resA.Pred, wantA, resB.Pred, wantB)
-	}
-	if resA.Batched < 2 || resB.Batched < 2 {
-		t.Fatalf("submissions did not coalesce (batched %d/%d); the test never exercised the batch path", resA.Batched, resB.Batched)
+			ra.res.Pred, wantA, rb.res.Pred, wantB)
 	}
 }
 
-// TestBatcherCloseSubmitRace hammers Close against concurrent Submit
-// traffic (run under -race in CI): every submission must resolve — a
-// prediction, ErrClosed, ErrOverloaded or the submitter's own context
-// error — and never hang on a job the drain missed.
-func TestBatcherCloseSubmitRace(t *testing.T) {
+// TestServerLeavesNoGoroutines drives every request shape — a single
+// /classify, a JSON batch, /detect, a 504 and a recovered shard-scan
+// panic — through real HTTP servers, then closes the servers and the
+// client's idle connections. The goroutine count must return to its
+// baseline: nothing in serve starts a goroutine that outlives its
+// request.
+func TestServerLeavesNoGoroutines(t *testing.T) {
 	g, queries := fixture(t)
-	img := queries.Samples[0].Image
-	for round := 0; round < 8; round++ {
-		b := NewBatcher(pipeline.NewShardedGallery(g, 2), pipeline.NewDescriptor(pipeline.ORB, 0.5),
-			Config{MaxBatch: 4, QueueCap: 4, BatchWait: time.Millisecond})
-		var wg sync.WaitGroup
-		done := make(chan struct{})
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					var err error
-					if i%2 == 0 {
-						_, err = b.Submit(ctx, img)
-					} else {
-						_, err = b.SubmitWait(ctx, img)
-					}
-					cancel()
-					if err != nil {
-						if errors.Is(err, ErrClosed) {
-							return
-						}
-						if errors.Is(err, ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) {
-							continue
-						}
-						t.Errorf("round %d: unexpected submit error: %v", round, err)
-						return
-					}
-				}
-			}(w)
+	png := pngBytes(t, queries.Samples[0].Image)
+	b64 := base64.StdEncoding.EncodeToString(png)
+	batch, _ := json.Marshal(classifyRequest{Images: []string{b64, b64, b64}})
+	scene := pngBytes(t, sceneFixture().Image)
+	defer fault.Disarm()
+
+	base := runtime.NumGoroutine()
+	reg := NewRegistry()
+	if err := reg.Add("sns1", pipeline.NewShardedGallery(g, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(reg, Config{}).Handler())
+	short := httptest.NewServer(New(reg, Config{RequestTimeout: 50 * time.Millisecond}).Handler())
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	post := func(url, contentType string, body []byte, want int) {
+		t.Helper()
+		resp, err := client.Post(url, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Duration(round) * time.Millisecond)
-		b.Close()
-		close(done)
-		wg.Wait()
-		// Close is idempotent and still non-blocking after the drain.
-		b.Close()
-		if _, err := b.Submit(context.Background(), img); !errors.Is(err, ErrClosed) {
-			t.Fatalf("round %d: post-Close submit returned %v, want ErrClosed", round, err)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d, want %d", url, resp.StatusCode, want)
+		}
+	}
+	post(ts.URL+"/classify?pipeline=orb", "image/png", png, http.StatusOK)
+	post(ts.URL+"/classify?pipeline=orb", "application/json", batch, http.StatusOK)
+	post(ts.URL+"/detect", "image/png", scene, http.StatusOK)
+	if err := fault.Arm("shard-scan:latency:delay=200ms"); err != nil {
+		t.Fatal(err)
+	}
+	post(short.URL+"/classify?pipeline=orb", "image/png", png, http.StatusGatewayTimeout)
+	if err := fault.Arm("shard-scan:panic"); err != nil {
+		t.Fatal(err)
+	}
+	post(ts.URL+"/classify?pipeline=orb", "image/png", png, http.StatusServiceUnavailable)
+	fault.Disarm()
+
+	ts.Close()
+	short.Close()
+	tr.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines remain after close, baseline %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

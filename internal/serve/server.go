@@ -25,15 +25,12 @@ import (
 
 // Config sizes the serving layer. Zero values select the defaults.
 type Config struct {
-	Workers     int           // classification pool size (<= 0: one per CPU)
-	MaxBatch    int           // max queries coalesced into one batch (default 16)
-	QueueCap    int           // per-batcher queue bound (default 4x MaxBatch)
-	BatchWait   time.Duration // coalescing window after the first query (default 2ms)
-	MaxInFlight int           // admission bound on concurrent /classify requests (default 256)
-	Ratio       float64       // descriptor ratio-test threshold (default 0.5, the paper's)
-	MaxBodyMB   int           // request body cap in MiB (default 32)
-	MaxImages   int           // images accepted per JSON batch request (default 64)
-	MaxRegions  int           // region proposals classified per /detect scene (default 32)
+	Workers     int     // images classifying at once, across all requests (<= 0: one per CPU)
+	MaxInFlight int     // admission bound on concurrent /classify requests (default 256)
+	Ratio       float64 // descriptor ratio-test threshold (default 0.5, the paper's)
+	MaxBodyMB   int     // request body cap in MiB (default 32)
+	MaxImages   int     // images accepted per JSON batch request (default 64)
+	MaxRegions  int     // region proposals classified per /detect scene (default 32)
 
 	// RequestTimeout bounds each /classify and /detect request end to
 	// end: the handler derives a deadline-bearing context from it and
@@ -64,14 +61,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4 * c.MaxBatch
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
+	if c.Workers <= 0 {
+		c.Workers = parallel.DefaultWorkers()
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
@@ -116,66 +107,57 @@ func ParsePipeline(name string, ratio float64) (pipeline.Pipeline, error) {
 }
 
 // Server is the HTTP serving frontend: bounded admission at the door,
-// one lazily-created Batcher per (gallery, pipeline) pair behind it.
+// then every request classifies its images on its own goroutines under
+// one gate of Workers slots that all requests share.
 type Server struct {
 	reg     *Registry
 	cfg     Config
-	gate    *parallel.Gate
+	gate    *parallel.Gate               // admission: requests in flight (MaxInFlight)
+	workers *parallel.Gate               // images classifying at once (Workers)
+	pipes   map[string]pipeline.Pipeline // one shared instance per lower-cased pipeline name
 	start   time.Time
-	unwatch func()
 	obs     *serveMetrics
 	slowMu  sync.Mutex // serialises slow-query log lines
-
-	mu       sync.Mutex
-	batchers map[string]*Batcher
-	closed   bool
 }
 
 // New wires a server over the registry.
 func New(reg *Registry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		reg:      reg,
-		cfg:      cfg,
-		gate:     parallel.NewGate(cfg.MaxInFlight),
-		start:    time.Now(),
-		obs:      serveObs(),
-		batchers: map[string]*Batcher{},
+		reg:     reg,
+		cfg:     cfg,
+		gate:    parallel.NewGate(cfg.MaxInFlight),
+		workers: parallel.NewGate(cfg.Workers),
+		pipes:   map[string]pipeline.Pipeline{},
+		start:   time.Now(),
+		obs:     serveObs(),
 	}
-	s.unwatch = reg.watch(s.retireStale)
+	for _, name := range []string{"sift", "surf", "orb", "hybrid", "shape", "color"} {
+		s.pipes[name], _ = ParsePipeline(name, cfg.Ratio)
+	}
 	return s
 }
 
-// retireStale drains (in the background) every cached batcher for name
-// that no longer serves the registry's current gallery. It runs on
-// every registry replacement, so a swapped-out gallery's batchers — and
-// with them the mapping references that keep a replaced snapshot file
-// mapped — are released after their in-flight work drains even if no
-// request for that (gallery, pipeline) key ever arrives again.
-func (s *Server) retireStale(name string) {
-	cur, ok := s.reg.Get(name)
-	prefix := name + "\x00"
-	s.mu.Lock()
-	var stale []*Batcher
-	for key, b := range s.batchers {
-		if strings.HasPrefix(key, prefix) && (!ok || b.sg != cur) {
-			stale = append(stale, b)
-			delete(s.batchers, key)
-		}
+// pipelineFor returns the server's one instance of the named pipeline
+// (hybrid when the request names none). Every request for a name shares
+// it, so a descriptor pipeline's warm extraction contexts serve them
+// all; an instance per request would start every query on a cold one.
+func (s *Server) pipelineFor(name string) (pipeline.Pipeline, error) {
+	if name == "" {
+		name = "hybrid"
 	}
-	s.mu.Unlock()
-	for _, b := range stale {
-		go b.Close()
+	if p, ok := s.pipes[strings.ToLower(name)]; ok {
+		return p, nil
 	}
+	return ParsePipeline(name, s.cfg.Ratio) // not a servable name: ParsePipeline's error
 }
 
 // Handler returns the daemon's route table. /metrics (Prometheus text)
 // and /statz (its JSON twin) render the process-wide obs registry, so
-// they see every server, batcher, pipeline and snapshot metric in the
-// process. Every route runs under panic recovery: a handler bug (or a
-// panic escaping the batcher's per-query recovery) costs that request
-// a 500 and a snmatch_panics_total tick, never the connection or the
-// process.
+// they see every server, pipeline and snapshot metric in the process.
+// Every route runs under panic recovery: a handler bug (or a panic
+// escaping classify's per-query recovery) costs that request a 500 and
+// a snmatch_panics_total tick, never the connection or the process.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/classify", s.handleClassify)
@@ -214,92 +196,104 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 
 // errStatus maps a classification error to its HTTP status and whether
 // the client should retry elsewhere (Retry-After). Deadline and
-// disconnect map to 504; shed, shutdown and injected-fault errors are
-// retryable 503s (a panic-wrapped injected fault still reads as
-// fault.ErrInjected through ErrPanic); anything else — including a
-// recovered pipeline panic — is a plain 500.
+// disconnect map to 504; injected-fault errors are retryable 503s (a
+// panic-wrapped injected fault still reads as fault.ErrInjected through
+// ErrPanic); anything else — including a recovered pipeline panic — is
+// a plain 500.
 func errStatus(err error) (status int, retry bool) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout, false
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed), errors.Is(err, fault.ErrInjected):
+	case errors.Is(err, fault.ErrInjected):
 		return http.StatusServiceUnavailable, true
 	}
 	return http.StatusInternalServerError, false
 }
 
-// Close stops every batcher after draining its queue. In-flight
-// http.Server traffic should be shut down first.
-func (s *Server) Close() {
-	s.unwatch()
-	s.mu.Lock()
-	s.closed = true
-	bs := make([]*Batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		bs = append(bs, b)
+// ErrPanic wraps a classification panic recovered on the query path —
+// a pipeline bug (or an armed panic-mode fault) costs that one query an
+// error answer instead of the whole process. The panic value is
+// wrapped, so an injected fault stays errors.Is-able as
+// fault.ErrInjected through the recovery.
+var ErrPanic = errors.New("serve: classification panicked")
+
+// Result is one classified image with its serving timings.
+type Result struct {
+	Pred     pipeline.Prediction
+	Latency  time.Duration // Queue + Classify
+	Queue    time.Duration // wait for a worker slot
+	Classify time.Duration // classification wall time
+	Extract  time.Duration // descriptor-extraction share of Classify (0 when unknown)
+	Match    time.Duration // index-scan share (CPU time across shard workers; 0 when unknown)
+	Verify   time.Duration // shortlist re-scoring share (approximate backends only)
+}
+
+// recoverQuery converts a classification panic into a per-query error:
+// the request survives, the panics counter ticks, and an error panic
+// value stays unwrappable (so an injected fault keeps reading as
+// fault.ErrInjected through the recovery).
+func (s *Server) recoverQuery(errp *error) {
+	r := recover()
+	if r == nil {
+		return
 	}
-	s.batchers = map[string]*Batcher{}
-	s.mu.Unlock()
-	for _, b := range bs {
-		b.Close()
+	s.obs.panics.Inc()
+	if e, ok := r.(error); ok {
+		//lint:allow noalloc panic recovery is the cold path; a recovered query already paid a stack unwind
+		*errp = fmt.Errorf("%w: %w", ErrPanic, e)
+	} else {
+		//lint:allow noalloc panic recovery is the cold path; a recovered query already paid a stack unwind
+		*errp = fmt.Errorf("%w: %v", ErrPanic, r)
 	}
 }
 
-// batcherFor returns the batcher serving (gallery, pipeline), creating
-// it on first use. The gallery is re-read from the registry here, under
-// the registry's lock, rather than trusted from the caller's earlier
-// Resolve: a request that raced a gallery replacement would otherwise
-// re-install a batcher over the gallery it resolved moments ago,
-// silently pinning replaced (possibly unmapped-soon) storage for all
-// later traffic. A cached batcher is only reused while it still serves
-// the registry's current gallery; replacements normally retire stale
-// batchers eagerly via retireStale, and the check here catches the
-// remaining race (a batcher installed between the registry swap and
-// its watcher running). Every request therefore classifies entirely on
-// one gallery, old or new, never a torn mix.
-func (s *Server) batcherFor(name, pipeName string, p pipeline.Pipeline) (*Batcher, error) {
-	key := name + "\x00" + strings.ToLower(pipeName)
-	// Bounded retry: a swap can land between acquiring the entry and
-	// installing its batcher, after that swap's retireStale watcher
-	// already ran — in which case the freshly installed batcher is
-	// itself stale and, left alone, would pin the replaced gallery's
-	// mapping behind an idle route. Re-checking the registry after the
-	// install and retiring-and-retrying closes that window; swaps are
-	// rare, so the loop terminates immediately in practice (and a
-	// stale-but-served batcher on loop exhaustion is still correct —
-	// whole-request classification on the older gallery).
-	for attempt := 0; ; attempt++ {
-		e, ok := s.reg.acquire(name) // retains e.res until handed to a batcher
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown gallery %q", name)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			if e.res != nil {
-				e.res.Release()
-			}
-			return nil, ErrClosed
-		}
-		b := s.batchers[key]
-		if b != nil && b.sg == e.sg {
-			s.mu.Unlock()
-			if e.res != nil {
-				e.res.Release()
-			}
-			return b, nil
-		}
-		if b != nil {
-			go b.Close() // gallery was replaced; drain the stale batcher off-path
-		}
-		b = newBatcher(e.sg, p, s.cfg.Workers, s.cfg.MaxBatch, s.cfg.QueueCap, s.cfg.BatchWait, e.res)
-		s.batchers[key] = b
-		s.mu.Unlock()
-		if cur, ok := s.reg.Get(name); (ok && cur == b.sg) || attempt >= 4 {
-			return b, nil
-		}
-		s.retireStale(name) // raced a swap mid-install; retire our stale batcher and retry
+// classify is one image's classification, on the calling goroutine. It
+// fires the classify-admit fault point, waits for one of the Workers
+// slots (the queue stage; a context that ends meanwhile returns its
+// error unclassified), then runs the sharded classification (the
+// classify stage) under per-query panic recovery, so one poisoned query
+// fails alone and gives its slot back. A shard worker's panic reaches
+// that recovery too: the shard fan-out re-panics it in this goroutine.
+//
+//snmatch:noalloc
+func (s *Server) classify(ctx context.Context, sg *pipeline.ShardedGallery, p pipeline.Pipeline, img *imaging.Image) (res Result, err error) {
+	if err := fault.Check(fault.ClassifyAdmit); err != nil {
+		return Result{}, err
 	}
+	enter := time.Now()
+	if err := s.workers.Enter(ctx); err != nil {
+		return Result{}, err
+	}
+	defer s.workers.Leave()
+	defer s.recoverQuery(&err)
+	start := time.Now()
+	var stats pipeline.QueryStats
+	res.Pred, stats, err = sg.ClassifyStatsCtx(ctx, p, img)
+	now := time.Now()
+	res.Latency, res.Queue, res.Classify = now.Sub(enter), start.Sub(enter), now.Sub(start)
+	res.Extract, res.Match, res.Verify = stats.Extract, stats.Match, stats.Verify
+	return res, err
+}
+
+// classifyAll classifies a request's images concurrently through
+// classify and returns their results in input order; the successful
+// ones feed the stage histograms. The error is the lowest-index
+// image's, so a failing request's answer does not depend on scheduling.
+func (s *Server) classifyAll(ctx context.Context, sg *pipeline.ShardedGallery, p pipeline.Pipeline, imgs []*imaging.Image) ([]Result, error) {
+	res := make([]Result, len(imgs))
+	errs := make([]error, len(imgs))
+	parallel.ForEach(s.cfg.Workers, len(imgs), func(i int) {
+		res[i], errs[i] = s.classify(ctx, sg, p, imgs[i])
+	})
+	var first error
+	for i, err := range errs {
+		if err == nil {
+			s.obs.observeResult(res[i])
+		} else if first == nil {
+			first = err
+		}
+	}
+	return res, first
 }
 
 // PredictionJSON is one /classify result entry.
@@ -308,14 +302,13 @@ type PredictionJSON struct {
 	ClassID   int     `json:"class_id"`
 	View      int     `json:"view"`
 	Score     float64 `json:"score"`
-	Batched   int     `json:"batched"`
 	LatencyMS float64 `json:"latency_ms"`
 	ExtractMS float64 `json:"extract_ms"` // descriptor-extraction share of latency_ms
 
-	// StagesMS breaks latency_ms down by pipeline stage (queue, batch,
-	// extract, and — on descriptor pipelines — match and verify; the
-	// latter two are CPU time summed across shard workers, so they can
-	// exceed wall time).
+	// StagesMS breaks latency_ms down by pipeline stage (queue,
+	// classify, extract, and — on descriptor pipelines — match and
+	// verify; the latter two are CPU time summed across shard workers,
+	// so they can exceed wall time).
 	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
 }
 
@@ -325,8 +318,9 @@ type ClassifyResponse struct {
 	Pipeline    string           `json:"pipeline"`
 	Predictions []PredictionJSON `json:"predictions"`
 
-	// StagesMS holds the request-level stages that precede batching
-	// (decode, admission) — the per-prediction maps cover the rest.
+	// StagesMS holds the request-level stages that precede
+	// classification (decode, admission) — the per-prediction maps
+	// cover the rest.
 	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
 }
 
@@ -357,17 +351,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var tr obs.Trace
 	tr.Set(obs.StageAdmission, time.Since(t0))
 
-	name, _, err := s.reg.Resolve(r.URL.Query().Get("gallery"))
+	name, e, err := s.reg.acquire(r.URL.Query().Get("gallery"))
 	if err != nil {
 		m.classify.errs.Inc()
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	pipeName := r.URL.Query().Get("pipeline")
-	if pipeName == "" {
-		pipeName = "hybrid"
-	}
-	p, err := ParsePipeline(pipeName, s.cfg.Ratio)
+	defer e.release()
+	p, err := s.pipelineFor(r.URL.Query().Get("pipeline"))
 	if err != nil {
 		m.classify.errs.Inc()
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -403,80 +394,45 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	b, err := s.batcherFor(name, pipeName, p)
+	results, err := s.classifyAll(ctx, e.sg, p, imgs)
+	m.observeStages(&tr)
+	elapsed := time.Since(t0)
+	status := http.StatusOK
 	if err != nil {
-		m.classify.errs.Inc()
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	resp := ClassifyResponse{Gallery: name, Pipeline: p.Name(), Predictions: make([]PredictionJSON, len(imgs))}
-	var firstErr error
-	var worst Result // slowest query, for the slow-query log
-	var wg sync.WaitGroup
-	var resMu sync.Mutex
-	for i, img := range imgs {
-		wg.Add(1)
-		go func(i int, img *imaging.Image) {
-			defer wg.Done()
-			res, err := b.SubmitWait(ctx, img)
-			if err != nil {
-				resMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				resMu.Unlock()
-				return
-			}
-			m.observeResult(res)
-			resMu.Lock()
-			if res.Latency > worst.Latency {
-				worst = res
-			}
-			resMu.Unlock()
+		status = s.classifyFailed(w, &m.classify, err, &tr)
+	} else {
+		m.classify.latency.ObserveDuration(int64(elapsed))
+		resp := ClassifyResponse{Gallery: name, Pipeline: p.Name(), Predictions: make([]PredictionJSON, len(results)), StagesMS: tr.MSMap()}
+		for i, res := range results {
 			resp.Predictions[i] = PredictionJSON{
 				Class:     res.Pred.Class.String(),
 				ClassID:   int(res.Pred.Class),
 				View:      res.Pred.Index,
 				Score:     res.Pred.Score,
-				Batched:   res.Batched,
 				LatencyMS: float64(res.Latency) / float64(time.Millisecond),
 				ExtractMS: float64(res.Extract) / float64(time.Millisecond),
 				StagesMS:  resultStagesMS(res),
 			}
-		}(i, img)
-	}
-	wg.Wait()
-	m.observeStages(&tr)
-	elapsed := time.Since(t0)
-	status := http.StatusOK
-	if firstErr != nil {
-		var retry bool
-		status, retry = errStatus(firstErr)
-		if retry {
-			w.Header().Set("Retry-After", "1")
 		}
-		if status == http.StatusGatewayTimeout {
-			m.deadlineExceeded.Inc()
-		}
-		m.classify.errs.Inc()
-		// A 504 carries the partial stage trace: the stages the request
-		// finished before its deadline expired.
-		httpErrorStages(w, status, firstErr.Error(), tr.MSMap())
-	} else {
-		m.classify.latency.ObserveDuration(int64(elapsed))
-		resp.StagesMS = tr.MSMap()
 		writeJSON(w, http.StatusOK, resp)
 	}
-	if s.cfg.SlowLog > 0 && elapsed >= s.cfg.SlowLog {
-		stages := tr.MSMap()
-		if stages == nil {
-			stages = map[string]float64{}
-		}
-		for k, v := range resultStagesMS(worst) {
-			stages[k] = v
-		}
-		s.slowLog("classify", name, p.Name(), len(imgs), status, elapsed, stages)
+	s.slowLog("classify", name, p.Name(), len(imgs), status, elapsed, &tr, results)
+}
+
+// classifyFailed answers a request whose classification failed and
+// returns the status it sent. A 504 carries the partial stage trace:
+// the stages the request finished before its deadline expired.
+func (s *Server) classifyFailed(w http.ResponseWriter, ep *epMetrics, err error, tr *obs.Trace) int {
+	status, retry := errStatus(err)
+	if retry {
+		w.Header().Set("Retry-After", "1")
 	}
+	if status == http.StatusGatewayTimeout {
+		s.obs.deadlineExceeded.Inc()
+	}
+	ep.errs.Inc()
+	httpErrorStages(w, status, err.Error(), tr.MSMap())
+	return status
 }
 
 // decodeImages parses the request body (already wrapped in a
@@ -484,7 +440,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // JSON {"images": [base64-png, ...]} batch. The batch size is capped:
 // the admission gate counts requests, so per-request work must be
 // bounded too or one huge batch could hold thousands of decoded images
-// and submit goroutines while occupying a single gate slot. Decoded
+// while occupying a single gate slot. Decoded
 // dimensions are capped per image (maxPixels) before full decoding.
 func decodeImages(r *http.Request, maxImages, maxPixels int) ([]*imaging.Image, error) {
 	body := r.Body

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"snmatch/internal/dataset"
 	"snmatch/internal/imaging"
@@ -50,10 +48,7 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	}
 	s := New(reg, cfg)
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -104,7 +99,7 @@ func TestClassifySinglePNG(t *testing.T) {
 	if out.Gallery != "sns1" || out.Pipeline != "ORB" {
 		t.Fatalf("metadata %q/%q", out.Gallery, out.Pipeline)
 	}
-	if p.LatencyMS < 0 || p.Batched < 1 {
+	if p.LatencyMS < 0 {
 		t.Fatalf("bad serving metadata %+v", p)
 	}
 	if p.ExtractMS <= 0 || p.ExtractMS > p.LatencyMS {
@@ -140,13 +135,13 @@ func TestClassifyJSONBatch(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchLargerThanQueue sends a JSON batch far bigger than
-// the batcher's queue bound: submissions must stream through the queue
-// (blocking, not shedding), so the whole batch classifies instead of
-// deterministically failing with 503 on an idle server.
-func TestClassifyBatchLargerThanQueue(t *testing.T) {
+// TestClassifyBatchLargerThanWorkers sends a JSON batch far bigger than
+// the worker gate: its images must wait their turn for the one slot
+// (blocking, not shedding), so the whole batch classifies, in order,
+// instead of failing with 503 on an idle server.
+func TestClassifyBatchLargerThanWorkers(t *testing.T) {
 	g, queries := fixture(t)
-	_, ts := newTestServer(t, Config{MaxBatch: 2, QueueCap: 2})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	d := pipeline.NewDescriptor(pipeline.ORB, 0.5)
 	var req classifyRequest
 	var want []pipeline.Prediction
@@ -158,12 +153,43 @@ func TestClassifyBatchLargerThanQueue(t *testing.T) {
 	body, _ := json.Marshal(req)
 	resp, out := postClassify(t, ts.URL+"/classify?pipeline=orb", "application/json", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("10-image batch over a 2-slot queue: status %d", resp.StatusCode)
+		t.Fatalf("10-image batch over 1 worker slot: status %d", resp.StatusCode)
+	}
+	if len(out.Predictions) != len(want) {
+		t.Fatalf("got %d predictions, want %d", len(out.Predictions), len(want))
 	}
 	for i, p := range out.Predictions {
 		if p.Class != want[i].Class.String() || p.Score != want[i].Score {
 			t.Fatalf("prediction %d: served %+v, direct %+v", i, p, want[i])
 		}
+	}
+}
+
+// TestWarmPipelineSharedAcrossRequests pins the one-instance-per-name
+// pipeline table: once warm, sequential /classify requests for the same
+// descriptor pipeline reuse its extraction contexts, so the context
+// pool never misses. A pipeline instance per request would miss on
+// every one.
+func TestWarmPipelineSharedAcrossRequests(t *testing.T) {
+	_, queries := fixture(t)
+	_, ts := newTestServer(t, Config{})
+	body := pngBytes(t, queries.Samples[0].Image)
+	classify := func() {
+		t.Helper()
+		if resp, _ := postClassify(t, ts.URL+"/classify?pipeline=orb", "image/png", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		classify()
+	}
+	const misses = "snmatch_ctx_pool_misses_total"
+	before := getStatz(t, ts.URL).Counters[misses]
+	for i := 0; i < 20; i++ {
+		classify()
+	}
+	if d := getStatz(t, ts.URL).Counters[misses] - before; d != 0 {
+		t.Fatalf("20 warm requests missed the context pool %d times, want 0", d)
 	}
 }
 
@@ -225,18 +251,17 @@ func TestClassifyContentTypeCaseInsensitive(t *testing.T) {
 	}
 }
 
-// TestClassifyConcurrentCoalescing floods the server with concurrent
-// single-image requests through a wide coalescing window and checks
-// every response is still exact — the transparency contract of the
-// batcher.
-func TestClassifyConcurrentCoalescing(t *testing.T) {
+// TestClassifyConcurrent floods the server with concurrent single-image
+// requests, more than it has worker slots, and checks every response is
+// still exact: requests sharing the pipeline instance, its extraction
+// contexts and the sharded scan never perturb each other.
+func TestClassifyConcurrent(t *testing.T) {
 	g, queries := fixture(t)
-	_, ts := newTestServer(t, Config{MaxBatch: 8, BatchWait: 20 * time.Millisecond})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	d := pipeline.NewDescriptor(pipeline.ORB, 0.5)
 	const n = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
-	batched := make([]int, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -261,9 +286,7 @@ func TestClassifyConcurrentCoalescing(t *testing.T) {
 			p := out.Predictions[0]
 			if p.Class != want.Class.String() || p.View != want.Index || p.Score != want.Score {
 				errs <- fmt.Errorf("request %d: served %+v, direct %+v", i, p, want)
-				return
 			}
-			batched[i] = p.Batched
 		}(i)
 	}
 	wg.Wait()
@@ -271,16 +294,6 @@ func TestClassifyConcurrentCoalescing(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	max := 0
-	for _, b := range batched {
-		if b > max {
-			max = b
-		}
-	}
-	if max < 1 {
-		t.Fatal("no request reported a batch size")
-	}
-	t.Logf("largest coalesced batch: %d", max)
 }
 
 func TestClassifyErrors(t *testing.T) {
@@ -387,25 +400,5 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
-	}
-}
-
-// TestBatcherSubmitDirect exercises the batcher API without HTTP:
-// overload shedding and post-Close refusal.
-func TestBatcherSubmitDirect(t *testing.T) {
-	g, queries := fixture(t)
-	sg := pipeline.NewShardedGallery(g, 2)
-	p := pipeline.NewDescriptor(pipeline.ORB, 0.5)
-	b := newBatcher(sg, p, 2, 2, 2, time.Millisecond, nil)
-	res, err := b.Submit(context.Background(), queries.Samples[0].Image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := p.Classify(queries.Samples[0].Image, g); res.Pred != want {
-		t.Fatalf("batcher %+v, direct %+v", res.Pred, want)
-	}
-	b.Close()
-	if _, err := b.Submit(context.Background(), queries.Samples[0].Image); err == nil {
-		t.Fatal("Submit after Close succeeded")
 	}
 }

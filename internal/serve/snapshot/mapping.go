@@ -19,8 +19,8 @@ import (
 // The gallery is only valid while the mapping is. Lifetime is
 // reference-counted: Map returns the handle holding one reference;
 // Retain/Release bracket every additional user (the serving layer
-// retains per live batcher, so a gallery replaced under traffic is
-// unmapped only after the last in-flight classify returns), and Close
+// retains per in-flight request, so a gallery replaced under traffic is
+// unmapped only after the last request classifying on it answers), and Close
 // drops the creator's reference. When the count reaches zero the file
 // is unmapped and any later touch of the gallery's borrowed storage is
 // a use-after-unmap bug — which is why every borrowed Packed block is

@@ -9,7 +9,7 @@ import (
 )
 
 // liveMapRefs tracks the summed reference count of every live Mapping —
-// registry holds, batcher holds and creator handles alike. It moves on
+// registry holds, request holds and creator handles alike. It moves on
 // Map/Retain/Release only (never the query path).
 var liveMapRefs atomic.Int64
 

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"snmatch/internal/fault"
 	"snmatch/internal/pipeline"
 	"snmatch/internal/serve/snapshot"
 )
@@ -33,8 +35,8 @@ func mapFixture(t testing.TB) func() *snapshot.Mapping {
 	}
 }
 
-// waitUnmapped polls until the mapping's last reference is gone —
-// stale batchers drain asynchronously after a replacement.
+// waitUnmapped polls until the mapping's last reference is gone — a
+// request releases its reference only after it has written its answer.
 func waitUnmapped(t *testing.T, m *snapshot.Mapping) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -52,7 +54,7 @@ func waitUnmapped(t *testing.T, m *snapshot.Mapping) {
 // finish wholly on one gallery — the old or the new, never a torn mix,
 // never a scan of unmapped memory — and every replaced mapping must be
 // released once its last in-flight work drains. Run under -race this
-// also pins the handler/registry/batcher locking.
+// also pins the handler/registry locking.
 func TestSwapUnderTraffic(t *testing.T) {
 	mint := mapFixture(t)
 	_, queries := fixture(t)
@@ -63,8 +65,7 @@ func TestSwapUnderTraffic(t *testing.T) {
 	if err := reg.AddMapped("sns1", pipeline.NewShardedGallery(first.Snap.Gallery, 2), first.Snap.Meta, first); err != nil {
 		t.Fatal(err)
 	}
-	s := New(reg, Config{MaxBatch: 4, BatchWait: 100 * time.Microsecond})
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(New(reg, Config{}).Handler())
 
 	const clients = 8
 	var (
@@ -106,7 +107,6 @@ func TestSwapUnderTraffic(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	srv.Close()
-	s.Close()
 	if served.Load() == 0 {
 		t.Fatal("no request survived the swap hammer")
 	}
@@ -122,90 +122,76 @@ func TestSwapUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestMappingCloseAfterDrain pins the Mapping lifecycle through the
-// batcher: the batcher's reference keeps a replaced gallery mapped
-// until its drain completes, and Server.Close releases the rest.
-func TestMappingCloseAfterDrain(t *testing.T) {
+// TestRequestHoldsMappingAcrossSwap pins per-request mapping
+// retention: a request parked mid-scan keeps the gallery it resolved
+// mapped while that gallery is replaced under it — the old mapping then
+// holds exactly the request's reference — answers 200 with the serial
+// prediction, and releases the mapping to zero once it has answered.
+func TestRequestHoldsMappingAcrossSwap(t *testing.T) {
 	mint := mapFixture(t)
-	_, queries := fixture(t)
+	g, queries := fixture(t)
+	img := queries.Samples[0].Image
+	want := pipeline.NewDescriptor(pipeline.ORB, 0.5).Classify(img, g)
+	body := pngBytes(t, img)
 
 	reg := NewRegistry()
-	m1 := mint()
+	m1, m2 := mint(), mint()
 	if err := reg.AddMapped("g", pipeline.NewShardedGallery(m1.Snap.Gallery, 2), m1.Snap.Meta, m1); err != nil {
 		t.Fatal(err)
 	}
-	s := New(reg, Config{})
-	b1, err := s.batcherFor("g", "orb", pipeline.NewDescriptor(pipeline.ORB, 0.5))
-	if err != nil {
+	srv := httptest.NewServer(New(reg, Config{}).Handler())
+	defer srv.Close()
+
+	defer fault.Disarm()
+	if err := fault.Arm("shard-scan:latency:delay=500ms"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b1.Submit(context.Background(), queries.Samples[0].Image); err != nil {
-		t.Fatal(err)
+	before := fault.Fired(fault.ShardScan)
+	type answer struct {
+		status int
+		out    ClassifyResponse
+		err    error
 	}
-	// registry + batcher
-	if got := m1.Refs(); got != 2 {
-		t.Fatalf("served mapping holds %d refs, want 2", got)
+	done := make(chan answer, 1)
+	go func() {
+		var a answer
+		resp, err := http.Post(srv.URL+"/classify?pipeline=orb", "image/png", bytes.NewReader(body))
+		if err != nil {
+			a.err = err
+		} else {
+			a.status = resp.StatusCode
+			a.err = json.NewDecoder(resp.Body).Decode(&a.out)
+			resp.Body.Close()
+		}
+		done <- a
+	}()
+	for deadline := time.Now().Add(5 * time.Second); fault.Fired(fault.ShardScan) == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached its shard scan")
+		}
 	}
 
-	// Replace: the registry's ref moves to m2 and the stale batcher is
-	// retired eagerly — m1 must drain to zero WITHOUT any further
-	// request for this (gallery, pipeline) key (a replaced snapshot
-	// must never stay pinned behind an idle route).
-	m2 := mint()
+	// The request is parked inside its scan: replace the gallery under it.
 	if err := reg.AddMapped("g", pipeline.NewShardedGallery(m2.Snap.Gallery, 2), m2.Snap.Meta, m2); err != nil {
 		t.Fatal(err)
 	}
-	waitUnmapped(t, m1)
-	b2, err := s.batcherFor("g", "orb", pipeline.NewDescriptor(pipeline.ORB, 0.5))
-	if err != nil {
-		t.Fatal(err)
+	if got := m1.Refs(); got != 1 {
+		t.Fatalf("replaced mapping holds %d refs mid-request, want 1 (the request's)", got)
 	}
-	if b2 == b1 {
-		t.Fatal("stale batcher survived the gallery replacement")
-	}
-	if _, err := b2.Submit(context.Background(), queries.Samples[0].Image); err != nil {
-		t.Fatal(err)
-	}
+	fault.Disarm()
 
-	// Close the server: the fresh batcher drains and releases; only the
-	// registry's reference remains on m2.
-	s.Close()
+	a := <-done
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("parked request: status %d, err %v", a.status, a.err)
+	}
+	if len(a.out.Predictions) != 1 {
+		t.Fatalf("parked request: %d predictions", len(a.out.Predictions))
+	}
+	if p := a.out.Predictions[0]; p.Class != want.Class.String() || p.View != want.Index || p.Score != want.Score {
+		t.Fatalf("parked request served %+v, serial %+v", p, want)
+	}
+	waitUnmapped(t, m1)
 	if got := m2.Refs(); got != 1 {
-		t.Fatalf("after server close, mapping holds %d refs, want 1 (registry)", got)
+		t.Fatalf("live mapping holds %d refs, want 1 (registry)", got)
 	}
-}
-
-// TestBatcherForRacedResolve pins the stale-batcher reinstall fix: a
-// request that resolved a gallery just before a replacement must not
-// re-install a batcher over the replaced gallery. batcherFor re-reads
-// the registry, so even a caller holding a stale resolve gets the
-// current gallery's batcher.
-func TestBatcherForRacedResolve(t *testing.T) {
-	mint := mapFixture(t)
-	reg := NewRegistry()
-	m1 := mint()
-	if err := reg.AddMapped("g", pipeline.NewShardedGallery(m1.Snap.Gallery, 2), m1.Snap.Meta, m1); err != nil {
-		t.Fatal(err)
-	}
-	s := New(reg, Config{})
-	defer s.Close()
-
-	// Simulate the race: the handler resolved "g" (old gallery), then a
-	// replacement lands before batcherFor runs.
-	if _, _, err := reg.Resolve("g"); err != nil {
-		t.Fatal(err)
-	}
-	m2 := mint()
-	newSG := pipeline.NewShardedGallery(m2.Snap.Gallery, 2)
-	if err := reg.AddMapped("g", newSG, m2.Snap.Meta, m2); err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.batcherFor("g", "orb", pipeline.NewDescriptor(pipeline.ORB, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.sg != newSG {
-		t.Fatal("batcherFor installed a batcher over the replaced gallery")
-	}
-	waitUnmapped(t, m1)
 }
