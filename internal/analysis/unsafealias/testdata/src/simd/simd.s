@@ -1,0 +1,2 @@
+// Empty: an assembly file in the package is what lets the bodyless
+// declarations compile.

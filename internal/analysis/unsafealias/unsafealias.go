@@ -1,9 +1,10 @@
-// Package unsafealias fences in the zero-copy mmap aliasing that makes
-// snapshot loads O(1): reinterpreting mapped bytes is allowed, but only
-// behind the one seam built for it, and only with the guard rails the
-// seam established.
+// Package unsafealias fences in the two ways the tree reads raw
+// memory. The zero-copy mmap aliasing that makes snapshot loads O(1)
+// may reinterpret mapped bytes, but only behind the one seam built for
+// it and with the guard rails the seam established; assembly kernels
+// may run, but only behind the simd seam.
 //
-// Three rules:
+// Four rules:
 //
 //   - Placement: runtime unsafe operations (unsafe.Pointer casts,
 //     unsafe.Slice and friends) may appear only in alias_*.go files of
@@ -23,6 +24,11 @@
 //     package-level variable outlives any release and is flagged; the
 //     static proxy for "does not escape the mapping's lifetime" is
 //     "does not escape into process-lifetime state".
+//   - Assembly seam: a function declared without a body (an assembly
+//     stub) may appear only in a package with a simd path segment,
+//     must be unexported, so every call goes through a Go wrapper that
+//     bounds-checks its inputs first, and must carry //go:noescape, so
+//     its pointer arguments stay off the heap.
 package unsafealias
 
 import (
@@ -37,7 +43,7 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "unsafealias",
-	Doc:  "confine runtime unsafe to snapshot alias files, require layout guards for struct aliasing, forbid retaining aliased slices",
+	Doc:  "confine runtime unsafe to snapshot alias files, require layout guards for struct aliasing, forbid retaining aliased slices, confine assembly stubs to unexported //go:noescape declarations in simd packages",
 	Run:  run,
 }
 
@@ -48,6 +54,7 @@ var compileTime = map[string]bool{"Sizeof": true, "Offsetof": true, "Alignof": t
 func run(pass *framework.Pass) error {
 	info := pass.TypesInfo
 	inSnapshotPkg := framework.PathHasSegment(pass.Path, "snapshot")
+	inSimdPkg := framework.PathHasSegment(pass.Path, "simd")
 
 	// Guard vars: package-level, initialized via unsafe.Offsetof.
 	guards := collectGuards(pass)
@@ -60,7 +67,11 @@ func run(pass *framework.Pass) error {
 
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
+				continue
+			}
+			if fd.Body == nil {
+				checkAsmStub(pass, fd, inSimdPkg)
 				continue
 			}
 			usesSlice := false
@@ -112,6 +123,27 @@ func run(pass *framework.Pass) error {
 		checkRetention(pass, aliasFuncs)
 	}
 	return nil
+}
+
+// checkAsmStub grades a function declared without a body: its code
+// is assembly, which reads raw memory as freely as unsafe does.
+func checkAsmStub(pass *framework.Pass, fd *ast.FuncDecl, inSimdPkg bool) {
+	name := fd.Name.Name
+	if !inSimdPkg {
+		pass.Reportf(fd.Name.Pos(), "assembly stub %s outside a simd package; assembly kernels live behind the simd seam", name)
+	}
+	if fd.Name.IsExported() {
+		pass.Reportf(fd.Name.Pos(), "assembly stub %s is exported; call it only from a Go wrapper that reslices its inputs to the lengths it reads", name)
+	}
+	noescape := false
+	if fd.Doc != nil {
+		for _, c := range fd.Doc.List {
+			noescape = noescape || c.Text == "//go:noescape"
+		}
+	}
+	if !noescape {
+		pass.Reportf(fd.Name.Pos(), "assembly stub %s lacks //go:noescape, so its pointer arguments escape to the heap", name)
+	}
 }
 
 // unsafeUse reports whether n is a use of package unsafe, returning

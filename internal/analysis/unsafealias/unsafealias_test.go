@@ -8,5 +8,5 @@ import (
 )
 
 func TestUnsafeAlias(t *testing.T) {
-	analysistest.Run(t, unsafealias.Analyzer, "testdata", "snapshot", "codec")
+	analysistest.Run(t, unsafealias.Analyzer, "testdata", "snapshot", "codec", "simd", "vecmath")
 }

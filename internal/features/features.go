@@ -268,26 +268,10 @@ func L2Squared(a, b []float32) float32 {
 	return sum
 }
 
-// L2Squared2 computes the squared distances from q to two rows a and b
-// in one interleaved pass. Each distance accumulates in the same
-// component order as L2Squared, so the pair is bit-identical to two
-// scalar calls while running two independent dependency chains — about
-// twice the throughput on a scan that is latency-bound on the scalar
-// accumulator.
-func L2Squared2(q, a, b []float32) (float32, float32) {
-	var s0, s1 float32
-	for i, v := range q {
-		d0 := v - a[i]
-		s0 += d0 * d0
-		d1 := v - b[i]
-		s1 += d1 * d1
-	}
-	return s0, s1
-}
-
-// L2Squared4 is L2Squared2 over four rows: four independent
-// accumulator chains, each still summing its components in scalar
-// order, so every returned distance is bit-identical to a scalar call.
+// L2Squared4 computes the squared distances from q to four rows in one
+// interleaved pass: four independent accumulator chains, each still
+// summing its components in scalar order, so every returned distance
+// is bit-identical to a scalar L2Squared call.
 func L2Squared4(q, a, b, c, d []float32) (s0, s1, s2, s3 float32) {
 	for i, v := range q {
 		d0 := v - a[i]

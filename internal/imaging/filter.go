@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"snmatch/internal/arena"
+	"snmatch/internal/simd"
 )
 
 // GaussianKernel returns a normalised 1-D Gaussian kernel for the given
@@ -44,16 +45,23 @@ func GaussianKernelIn(a *arena.Arena, sigma float64, radius int) []float32 {
 // ConvolveSeparable applies the 1-D kernel horizontally then vertically
 // with replicate border handling, returning a new raster. The two
 // passes are fused through a ring buffer of horizontally-convolved
-// rows, so the full intermediate raster of ConvolveH(...).ConvolveV(...)
-// is never materialised; each pass runs the same per-row kernels, so
-// the output is bit-identical to the unfused composition.
+// rows, so the full intermediate raster is never materialised; every
+// pixel sums the same products in the same (ascending kernel) order as
+// a per-tap clamped horizontal pass followed by a vertical one, so the
+// output is bit-identical to that composition.
 func (f *FloatGray) ConvolveSeparable(kernel []float32) *FloatGray {
 	return f.ConvolveSeparableIn(nil, kernel)
 }
 
 // ConvolveSeparableIn is ConvolveSeparable with the output raster and
-// the fused-pass scratch (ring buffer, source-row table) drawn from the
-// arena.
+// the fused-pass scratch (padded row and its tap windows, ring buffer,
+// source-row table) drawn from the arena.
+//
+// Both passes are simd.AccumRows calls. The horizontal pass copies
+// each source row into pad with replicated edge values, so pad[x+i]
+// holds row[clamp(x+i-r)], and sums the windows taps[i] = pad[i:i+w]:
+// the clamped tap loop with no border case. The vertical pass sums one
+// ring row per tap.
 func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *FloatGray {
 	r := len(kernel) / 2
 	k := len(kernel)
@@ -61,6 +69,11 @@ func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *Float
 	w, h := f.W, f.H
 	if w == 0 || h == 0 {
 		return out
+	}
+	pad := arena.Slice[float32](a, w+k-1)
+	taps := arena.Slice[[]float32](a, k)
+	for i := range taps {
+		taps[i] = pad[i : i+w]
 	}
 	// ring holds the last k horizontally-convolved rows; row j lives at
 	// slot j%k, and the window [y-r, y+r] never exceeds k rows.
@@ -78,8 +91,8 @@ func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *Float
 		}
 		for computed < need {
 			computed++
-			dst := ring[(computed%k)*w : (computed%k)*w+w]
-			convRowH(dst, f.Pix[computed*w:(computed+1)*w], kernel, r)
+			padRow(pad, f.Pix[computed*w:(computed+1)*w], r)
+			simd.AccumRows(ring[(computed%k)*w:(computed%k)*w+w], taps, kernel)
 		}
 		for i := range kernel {
 			sy := y + i - r
@@ -90,158 +103,21 @@ func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *Float
 			}
 			srcs[i] = ring[(sy%k)*w : (sy%k)*w+w]
 		}
-		convAccumV(out.Pix[y*w:(y+1)*w], srcs, kernel)
+		simd.AccumRows(out.Pix[y*w:(y+1)*w], srcs, kernel)
 	}
 	return out
 }
 
-// ConvolveH applies the 1-D kernel along rows with replicate borders.
-// Interior pixels run a branch-free window loop; only the <= radius
-// border columns pay for clamping. Per-pixel tap accumulation order is
-// unchanged (ascending kernel index), so results are bit-identical to
-// the naive per-tap clamped loop.
-func (f *FloatGray) ConvolveH(kernel []float32) *FloatGray {
-	r := len(kernel) / 2
-	out := NewFloatGray(f.W, f.H)
-	w := f.W
-	for y := 0; y < f.H; y++ {
-		convRowH(out.Pix[y*w:(y+1)*w], f.Pix[y*w:(y+1)*w], kernel, r)
+// padRow copies row into pad behind r replicas of its first value and
+// fills the rest of pad with its last value: pad[j] = row[clamp(j-r)].
+func padRow(pad, row []float32, r int) {
+	for j := range pad[:r] {
+		pad[j] = row[0]
 	}
-	return out
-}
-
-// convRowH convolves one row into dst. Interior pixels run eight
-// independent accumulator chains per step to keep the FP units busy;
-// each pixel still sums its taps in ascending kernel order, so the
-// result matches the naive per-tap clamped loop bit for bit.
-func convRowH(dst, row, kernel []float32, r int) {
-	w := len(row)
-	lo, hi := r, w-r
-	if hi < lo {
-		hi = lo
-	}
-	for x := 0; x < lo && x < w; x++ {
-		dst[x] = convClampedTap(row, kernel, x, r)
-	}
-	x := lo
-	for ; x+8 <= hi; x += 8 {
-		base := x - r
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		for k, kv := range kernel {
-			win := row[base+k : base+k+8]
-			a0 += win[0] * kv
-			a1 += win[1] * kv
-			a2 += win[2] * kv
-			a3 += win[3] * kv
-			a4 += win[4] * kv
-			a5 += win[5] * kv
-			a6 += win[6] * kv
-			a7 += win[7] * kv
-		}
-		dst[x] = a0
-		dst[x+1] = a1
-		dst[x+2] = a2
-		dst[x+3] = a3
-		dst[x+4] = a4
-		dst[x+5] = a5
-		dst[x+6] = a6
-		dst[x+7] = a7
-	}
-	for ; x < hi; x++ {
-		win := row[x-r : x-r+len(kernel)]
-		var acc float32
-		for k, kv := range kernel {
-			acc += win[k] * kv
-		}
-		dst[x] = acc
-	}
-	for x := hi; x < w; x++ {
-		dst[x] = convClampedTap(row, kernel, x, r)
-	}
-}
-
-// convClampedTap is the replicate-border tap loop shared by the border
-// columns of ConvolveH. The taps split into a left-clamped run, an
-// in-range run and a right-clamped run — each tap contributes the same
-// product in the same (ascending k) order as the branchy per-tap clamp.
-func convClampedTap(row, kernel []float32, x, r int) float32 {
-	var acc float32
-	w := len(row)
-	k := 0
-	for kEnd := min(r-x, len(kernel)); k < kEnd; k++ {
-		acc += row[0] * kernel[k]
-	}
-	for kEnd := min(w-x+r, len(kernel)); k < kEnd; k++ {
-		acc += row[x+k-r] * kernel[k]
-	}
-	for ; k < len(kernel); k++ {
-		acc += row[w-1] * kernel[k]
-	}
-	return acc
-}
-
-// ConvolveV applies the 1-D kernel along columns with replicate borders.
-// The sweep is row-major — for every output row the contributing source
-// rows are streamed sequentially — which preserves the exact per-pixel
-// tap accumulation order (ascending kernel index, so results are
-// bit-identical to the naive column walk) while touching memory in
-// cache order.
-func (f *FloatGray) ConvolveV(kernel []float32) *FloatGray {
-	r := len(kernel) / 2
-	out := NewFloatGray(f.W, f.H)
-	w, h := f.W, f.H
-	srcs := make([][]float32, len(kernel))
-	for y := 0; y < h; y++ {
-		orow := out.Pix[y*w : (y+1)*w]
-		for k := range kernel {
-			sy := y + k - r
-			if sy < 0 {
-				sy = 0
-			} else if sy >= h {
-				sy = h - 1
-			}
-			srcs[k] = f.Pix[sy*w : sy*w+w]
-		}
-		convAccumV(orow, srcs, kernel)
-	}
-	return out
-}
-
-// convAccumV writes the vertical tap accumulation of srcs (one source
-// row per kernel tap) into dst. Blocks of eight columns accumulate in
-// registers across all taps (ascending kernel order per pixel, as in
-// the naive column walk) and store each output exactly once.
-func convAccumV(dst []float32, srcs [][]float32, kernel []float32) {
-	w := len(dst)
-	x := 0
-	for ; x+8 <= w; x += 8 {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		for k, kv := range kernel {
-			src := srcs[k][x : x+8]
-			a0 += src[0] * kv
-			a1 += src[1] * kv
-			a2 += src[2] * kv
-			a3 += src[3] * kv
-			a4 += src[4] * kv
-			a5 += src[5] * kv
-			a6 += src[6] * kv
-			a7 += src[7] * kv
-		}
-		dst[x] = a0
-		dst[x+1] = a1
-		dst[x+2] = a2
-		dst[x+3] = a3
-		dst[x+4] = a4
-		dst[x+5] = a5
-		dst[x+6] = a6
-		dst[x+7] = a7
-	}
-	for ; x < w; x++ {
-		var acc float32
-		for k, kv := range kernel {
-			acc += srcs[k][x] * kv
-		}
-		dst[x] = acc
+	copy(pad[r:], row)
+	last := row[len(row)-1]
+	for j := r + len(row); j < len(pad); j++ {
+		pad[j] = last
 	}
 }
 

@@ -126,11 +126,11 @@ func (c *expiringCtx) Err() error {
 	return nil
 }
 
-// TestScanHonoursDeadlineMidQuery pins the in-scan checkpoints: the flat
-// float and binary kernels and both IVF probes check ctx once per query
-// descriptor, so a deadline that expires partway through a
-// multi-descriptor query stops the scan with that error before the
-// last query descriptor.
+// TestScanHonoursDeadlineMidQuery pins the in-scan checkpoints: the
+// flat binary kernel and both IVF probes check ctx once per query
+// descriptor and the flat float kernel once per view, so a deadline
+// that expires partway through a scan stops it with that error before
+// its last checkpoint.
 func TestScanHonoursDeadlineMidQuery(t *testing.T) {
 	r := rng.New(5)
 	floatSets := make([]*features.Set, 6)
@@ -145,11 +145,12 @@ func TestScanHonoursDeadlineMidQuery(t *testing.T) {
 		name  string
 		mi    MatchIndex
 		query *features.Set
+		steps int // checkpoints in an uninterrupted scan
 	}{
-		{"flat/float", floatIx, randFloatSet(r, nq, 6, 12)},
-		{"flat/binary", binIx, randBinarySet(r, nq, 32)},
-		{"ivf/float", NewIVFIndex(floatIx, IVFParams{NLists: 4, NProbe: 1}), randFloatSet(r, nq, 6, 12)},
-		{"ivf/binary", NewIVFIndex(binIx, IVFParams{NLists: 4, NProbe: 1}), randBinarySet(r, nq, 32)},
+		{"flat/float", floatIx, randFloatSet(r, nq, 6, 12), len(floatSets)},
+		{"flat/binary", binIx, randBinarySet(r, nq, 32), nq},
+		{"ivf/float", NewIVFIndex(floatIx, IVFParams{NLists: 4, NProbe: 1}), randFloatSet(r, nq, 6, 12), nq},
+		{"ivf/binary", NewIVFIndex(binIx, IVFParams{NLists: 4, NProbe: 1}), randBinarySet(r, nq, 32), nq},
 	} {
 		if iv, ok := tc.mi.(*IVFIndex); ok && iv.full {
 			t.Fatalf("%s: fixture delegates to the flat kernel", tc.name)
@@ -160,8 +161,8 @@ func TestScanHonoursDeadlineMidQuery(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: Scan returned %v, want the context's error", tc.name, err)
 		}
-		if ctx.calls >= nq {
-			t.Fatalf("%s: %d ctx checks for %d query descriptors; the scan ran to the last descriptor", tc.name, ctx.calls, nq)
+		if ctx.calls >= tc.steps {
+			t.Fatalf("%s: %d ctx checks for %d checkpoints; the scan ran to its last checkpoint", tc.name, ctx.calls, tc.steps)
 		}
 	}
 }

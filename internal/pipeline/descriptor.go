@@ -130,8 +130,9 @@ func (p *Descriptor) putCtx(c *ExtractCtx) {
 // backends get a nil trace and skip their clocks entirely.
 //
 // ctx is the request deadline: cancellation checkpoints sit before
-// extraction and inside the scan (once per query descriptor, and — on a
-// sharded index — before every shard's scan), so an expired request
+// extraction and inside the scan (once per query descriptor or, in the
+// flat float scan, once per view, and — on a sharded index — before
+// every shard's scan), so an expired request
 // stops burning CPU at the next checkpoint instead of running to
 // completion. The returned error is the context's; a non-nil error
 // means the prediction was not computed. Every checkpoint is a plain

@@ -156,7 +156,14 @@ func TestQueryPathAllocs(t *testing.T) {
 	// metrics enabled — the invariant the CI obs alloc-gate step pins.
 	// The one-shard rows drive the serving path on a 1-shard
 	// ShardedGallery (snserve -shards 1): its single-span Scan runs
-	// inline, without the fan-out closure.
+	// inline, without the fan-out closure. Each row classifies with ORB
+	// (the binary scan) and SIFT (the lane-blocked float scan with its
+	// pooled transposition scratch).
+	prepared := func(kind DescriptorKind) *Descriptor {
+		p := NewDescriptor(kind, 0.5)
+		p.Prepare(gallery1, 1)
+		return p
+	}
 	for _, on := range []bool{false, true} {
 		name := "classify/obs=off"
 		if on {
@@ -172,31 +179,33 @@ func TestQueryPathAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			setObs()
 			defer DisableObs()
-			p := NewDescriptor(ORB, 0.5)
-			p.Prepare(gallery1, 1)
-			for i := 0; i < 3; i++ {
-				p.Classify(img, gallery1)
-			}
-			if n := testing.AllocsPerRun(20, func() {
-				p.Classify(img, gallery1)
-			}); n != 0 {
-				t.Errorf("warm Classify allocates %.1f times per query, want 0", n)
+			for _, kind := range []DescriptorKind{ORB, SIFT} {
+				p := prepared(kind)
+				for i := 0; i < 3; i++ {
+					p.Classify(img, gallery1)
+				}
+				if n := testing.AllocsPerRun(20, func() {
+					p.Classify(img, gallery1)
+				}); n != 0 {
+					t.Errorf("warm %s Classify allocates %.1f times per query, want 0", kind, n)
+				}
 			}
 		})
 		t.Run(name+"/one-shard", func(t *testing.T) {
 			setObs()
 			defer DisableObs()
-			p := NewDescriptor(ORB, 0.5)
-			p.Prepare(gallery1, 1)
 			sg := NewShardedGallery(gallery1, 1)
 			ctx := context.Background()
-			for i := 0; i < 3; i++ {
-				sg.ClassifyStatsCtx(ctx, p, img)
-			}
-			if n := testing.AllocsPerRun(20, func() {
-				sg.ClassifyStatsCtx(ctx, p, img)
-			}); n != 0 {
-				t.Errorf("warm 1-shard ClassifyStatsCtx allocates %.1f times per query, want 0", n)
+			for _, kind := range []DescriptorKind{ORB, SIFT} {
+				p := prepared(kind)
+				for i := 0; i < 3; i++ {
+					sg.ClassifyStatsCtx(ctx, p, img)
+				}
+				if n := testing.AllocsPerRun(20, func() {
+					sg.ClassifyStatsCtx(ctx, p, img)
+				}); n != 0 {
+					t.Errorf("warm 1-shard %s ClassifyStatsCtx allocates %.1f times per query, want 0", kind, n)
+				}
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 
 	"snmatch/internal/features"
 	"snmatch/internal/obs"
+	"snmatch/internal/simd"
 )
 
 // DescriptorIndex is a gallery-level flat index for §3.3 descriptor
@@ -22,8 +23,9 @@ import (
 // taken only for the two winners per (query descriptor, view) pair.
 //
 // The index is immutable once built; Classify-side scratch (the
-// per-view count buffer) comes from an internal sync.Pool so steady
-// state matching allocates nothing per query.
+// per-view count buffer and the transposed query of the float scan)
+// comes from internal sync.Pools so steady state matching allocates
+// nothing per query.
 type DescriptorIndex struct {
 	Binary   bool
 	NumViews int
@@ -33,7 +35,7 @@ type DescriptorIndex struct {
 
 	// Float layout (row-major, stride Dim), with per-row Euclidean
 	// norms (square roots of the packed squared norms) for the
-	// norm-difference lower bound.
+	// norm-difference lower bound of IVF's list scan.
 	Dim       int
 	Floats    []float32
 	RootNorms []float32
@@ -42,31 +44,16 @@ type DescriptorIndex struct {
 	WordsPerRow int
 	Words       []uint64
 
-	// prune enables the norm-difference early-exit in the float
-	// kernel. It is switched off at build time when the gallery's
-	// norms barely vary (e.g. unit-normalised SIFT/SURF descriptors),
-	// where the test could never fire and would only cost a branch.
+	// prune enables the norm-difference early-exit in IVF's float
+	// list scan (IVFIndex.scanFloat). It is switched off at build time
+	// when the gallery's norms barely vary (e.g. unit-normalised
+	// SIFT/SURF descriptors), where the test could never fire and
+	// would only cost a branch.
 	prune bool
 
 	counts sync.Pool // *[]int32 scratch, one per concurrent classifier
+	lanes  sync.Pool // *[]float32 transposed-query scratch of the float scan
 }
-
-// pruneMargin absorbs the relative rounding of the float32 distance
-// accumulation (<= dim * 2^-23, ~1.5e-5 at dim 128): a candidate is
-// only skipped when its — separately error-deflated — lower bound
-// exceeds the current second-best by more than that. Together with the
-// absolute deflation below, skipped candidates can never have beaten
-// the second-best, keeping the kernel bit-identical to the unpruned
-// scan.
-const pruneMargin = 1 - 1e-4
-
-// normErrScale bounds the relative error of a computed row norm
-// (float32 sum of dim squares, then sqrt: <= ~dim * 2^-25 + 2^-24,
-// taken at 2^-22 per unit dim for an ~8x safety factor). The norm
-// difference rq - rn cancels catastrophically, so its absolute error —
-// up to (rq + rn) * normErrScale * dim — must be subtracted from the
-// bound before squaring rather than folded into a relative margin.
-const normErrScale = 1.0 / (1 << 22)
 
 // NewDescriptorIndex concatenates the views' descriptor sets (all of
 // one representation; nil or empty sets contribute empty ranges).
@@ -152,7 +139,7 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 		off += s.Len()
 	}
 	// Unit-normalised galleries (SIFT, SURF) have no norm spread for
-	// the bound to exploit; keep the plain scan there.
+	// the bound to exploit; keep IVF's plain list scan there.
 	ix.prune = off > 0 && hi-lo > 0.05*hi
 	return ix
 }
@@ -265,6 +252,21 @@ func (ix *DescriptorIndex) getCounts() *[]int32 {
 // putCounts returns a buffer to the pool.
 func (ix *DescriptorIndex) putCounts(s *[]int32) { ix.counts.Put(s) }
 
+// getLanes borrows a transposed-query buffer of n floats from the
+// pool, growing it when a larger query arrives. Contents are
+// unspecified.
+func (ix *DescriptorIndex) getLanes(n int) *[]float32 {
+	p, _ := ix.lanes.Get().(*[]float32)
+	if p == nil {
+		p = new([]float32)
+	}
+	if cap(*p) < n {
+		*p = make([]float32, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
 // GoodMatchCounts implements MatchIndex: the full-range, untraced
 // Scan under context.Background(), which never expires, so the scan
 // cannot fail.
@@ -277,8 +279,8 @@ func (ix *DescriptorIndex) GoodMatchCounts(query *features.Set, ratio float64, c
 // Scan implements MatchIndex: for every view in [v0, v1), the number of
 // query descriptors whose within-view 2-NN pass Lowe's ratio test —
 // exactly match.GoodMatchCount(query, view, ratio) per view, computed
-// in one scan of the flat matrix per query descriptor. The exact scan
-// has no probe/verify split, so the whole scan books as match time.
+// in one pass over the flat matrix. The exact scan has no
+// probe/verify split, so the whole scan books as match time.
 // Concurrent callers must pass a query whose Packed mirror is already
 // built (extractors do; hand-assembled sets need Set.Pack).
 //
@@ -311,65 +313,36 @@ func (ix *DescriptorIndex) scan(ctx context.Context, query *features.Set, ratio 
 	return ix.floatCounts(ctx, qp, ratio, counts, v0, v1)
 }
 
+// floatCounts is the float kernel. It scans view by view: the query
+// rows are transposed into simd.Lanes-wide blocks and each block meets
+// a view's rows in one simd.Lane2NN call, whose lanes each run the
+// scalar 2-NN fold of one query row. The deadline is checked once per
+// view.
 func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
 	if qp.Dim != ix.Dim {
 		panic("pipeline: query descriptor width does not match index")
 	}
 	dim := ix.Dim
-	normErr := float32(dim) * normErrScale
-	for qi := 0; qi < qp.N; qi++ {
+	block := simd.Lanes * dim
+	lp := ix.getLanes(simd.LaneBlocks(qp.N) * block)
+	defer ix.lanes.Put(lp)
+	qt := *lp
+	simd.TransposeLanes(qt, qp.Floats[:qp.N*dim], dim)
+	for v := v0; v < v1; v++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		q := qp.FloatRow(qi)
-		rq := sqrt32(qp.Norms[qi])
-		for v := v0; v < v1; v++ {
-			start, end := ix.Starts[v], ix.Starts[v+1]
-			if end-start < 2 {
-				continue // a view needs two neighbours for the ratio test
-			}
-			s1, s2 := inf32, inf32
-			if ix.prune {
-				for ti := start; ti < end; ti++ {
-					rn := ix.RootNorms[ti]
-					lb := rq - rn
-					if lb < 0 {
-						lb = -lb
-					}
-					lb -= (rq + rn) * normErr // deflate by the absolute norm error
-					if lb > 0 && lb*lb*pruneMargin >= s2 {
-						continue
-					}
-					d := features.L2Squared(q, ix.Floats[ti*dim:(ti+1)*dim])
-					if d < s1 {
-						s2, s1 = s1, d
-					} else if d < s2 {
-						s2 = d
-					}
+		start, end := ix.Starts[v], ix.Starts[v+1]
+		if end-start < 2 {
+			continue // a view needs two neighbours for the ratio test
+		}
+		rows := ix.Floats[start*dim : end*dim]
+		for b := 0; b*simd.Lanes < qp.N; b++ {
+			s1, s2 := simd.Lane2NN(qt[b*block:(b+1)*block], rows, dim)
+			for l := range min(simd.Lanes, qp.N-b*simd.Lanes) {
+				if float64(sqrt32(s1[l])) < ratio*float64(sqrt32(s2[l])) {
+					counts[v]++
 				}
-			} else {
-				// Four rows per step: independent accumulator chains,
-				// identical per-row arithmetic, updates applied in
-				// ascending train order.
-				ti := start
-				for ; ti+4 <= end; ti += 4 {
-					d0, d1, d2, d3 := features.L2Squared4(q,
-						ix.Floats[ti*dim:(ti+1)*dim],
-						ix.Floats[(ti+1)*dim:(ti+2)*dim],
-						ix.Floats[(ti+2)*dim:(ti+3)*dim],
-						ix.Floats[(ti+3)*dim:(ti+4)*dim])
-					s1, s2 = update2(s1, s2, d0)
-					s1, s2 = update2(s1, s2, d1)
-					s1, s2 = update2(s1, s2, d2)
-					s1, s2 = update2(s1, s2, d3)
-				}
-				for ; ti < end; ti++ {
-					d := features.L2Squared(q, ix.Floats[ti*dim:(ti+1)*dim])
-					s1, s2 = update2(s1, s2, d)
-				}
-			}
-			if float64(sqrt32(s1)) < ratio*float64(sqrt32(s2)) {
-				counts[v]++
 			}
 		}
 	}
@@ -406,17 +379,6 @@ func (ix *DescriptorIndex) binaryCounts(ctx context.Context, qp *features.Packed
 		}
 	}
 	return nil
-}
-
-// update2 folds one squared distance into the running best/second-best.
-func update2(s1, s2, d float32) (float32, float32) {
-	if d < s1 {
-		return d, s1
-	}
-	if d < s2 {
-		return s1, d
-	}
-	return s1, s2
 }
 
 var inf32 = float32(math.Inf(1))

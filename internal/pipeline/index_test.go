@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction 
 
 // randFloatSet draws integer-valued components so distances are exact
 // and small vocabularies produce genuine ties; spread>1 vocabularies
-// give the norm spread that arms the index's pruned kernel.
+// give the norm spread that arms IVF's norm prune.
 func randFloatSet(r *rng.RNG, n, dim, vocab int) *features.Set {
 	s := &features.Set{}
 	for i := 0; i < n; i++ {
@@ -59,13 +60,13 @@ func randBinarySet(r *rng.RNG, n, bytes int) *features.Set {
 // contract: one flat scan must reproduce the per-view brute-force
 // GoodMatchCount for every view — including empty views, single
 // descriptor views (below the ratio test's two-neighbour minimum), tie
-// heavy small vocabularies, and the norm-difference pruned float path.
+// heavy small vocabularies, and partial lane blocks in the float scan.
 func TestDescriptorIndexMatchesPerViewCounts(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 25; trial++ {
 		nViews := 1 + r.Intn(8)
 		binary := trial%2 == 1
-		vocab := 2 + r.Intn(9) // wide vocab range arms pruning on some trials
+		vocab := 2 + r.Intn(9) // small vocabularies force distance ties
 		sets := make([]*features.Set, nViews)
 		for v := range sets {
 			n := r.Intn(7) // includes empty and single-descriptor views
@@ -88,20 +89,24 @@ func TestDescriptorIndexMatchesPerViewCounts(t *testing.T) {
 			for v, s := range sets {
 				want := int32(match.GoodMatchCount(query, s, ratio))
 				if counts[v] != want {
-					t.Fatalf("trial %d (binary=%v prune=%v) view %d ratio %v: %d != %d",
-						trial, binary, ix.prune, v, ratio, counts[v], want)
+					t.Fatalf("trial %d (binary=%v) view %d ratio %v: %d != %d",
+						trial, binary, v, ratio, counts[v], want)
 				}
 			}
 		}
 	}
 }
 
-// TestDescriptorIndexPruneExactAtLargeNorms stresses the pruned kernel
-// where the norm-difference computation is least accurate: high
-// dimension and large, clustered magnitudes (norms in the thousands,
-// partially non-representable squared sums), mixed with near-origin
-// rows so pruning fires aggressively. Counts must still equal the
-// never-pruning per-view reference exactly.
+// TestDescriptorIndexPruneExactAtLargeNorms stresses the norm-difference
+// prune of IVF's float list scan where the bound is least accurate:
+// high dimension and large, clustered magnitudes (norms in the
+// thousands, partially non-representable squared sums), mixed with
+// near-origin rows so pruning fires aggressively. Every view also holds
+// scaled copies c·q of query rows, whose distance |c-1|·|q| the bound
+// meets almost exactly, so a bound that over-reaches skips rows that
+// decide a ratio test. Across a sweep of ratios the pruned list scan's
+// shortlist counts must equal those of the same scan with the prune
+// off, and the flat scan's counts the per-view reference, exactly.
 func TestDescriptorIndexPruneExactAtLargeNorms(t *testing.T) {
 	r := rng.New(131)
 	mixedSet := func(n int) *features.Set {
@@ -120,23 +125,58 @@ func TestDescriptorIndexPruneExactAtLargeNorms(t *testing.T) {
 		}
 		return s
 	}
+	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
 		sets := make([]*features.Set, 4)
 		for v := range sets {
 			sets[v] = mixedSet(2 + r.Intn(6))
 		}
+		query := mixedSet(6)
+		for _, s := range sets {
+			for i := 0; i < 6; i++ {
+				q := query.Float[r.Intn(len(query.Float))]
+				c := float32(1 + r.Range(-1, 1)*1e-3)
+				d := make([]float32, len(q))
+				for j, x := range q {
+					d[j] = c * x
+				}
+				s.Float = append(s.Float, d)
+				s.Keypoints = append(s.Keypoints, features.Keypoint{})
+			}
+		}
 		ix := NewDescriptorIndex(sets)
 		if !ix.prune {
 			t.Fatal("mixed-magnitude gallery did not arm pruning")
 		}
-		query := mixedSet(6)
+		iv := NewIVFIndex(ix, IVFParams{NLists: 4, NProbe: 2})
+		if iv.full {
+			t.Fatal("fixture delegates to the flat kernel")
+		}
+		qp := query.Pack().Packed
 		counts := make([]int32, len(sets))
-		for _, ratio := range []float64{0.5, 0.8, 1.0} {
+		pruned, plain := make([]int32, len(sets)), make([]int32, len(sets))
+		for ratio := 0.05; ratio <= 1; ratio += 0.05 {
 			ix.GoodMatchCounts(query, ratio, counts)
 			for v, s := range sets {
 				if want := int32(match.GoodMatchCount(query, s, ratio)); counts[v] != want {
-					t.Fatalf("trial %d view %d ratio %v: pruned %d != reference %d",
+					t.Fatalf("trial %d view %d ratio %.2f: flat %d != reference %d",
 						trial, v, ratio, counts[v], want)
+				}
+			}
+			clear(pruned)
+			clear(plain)
+			if err := iv.scanFloat(ctx, qp, ratio, pruned, 0, len(sets)); err != nil {
+				t.Fatal(err)
+			}
+			ix.prune = false
+			if err := iv.scanFloat(ctx, qp, ratio, plain, 0, len(sets)); err != nil {
+				t.Fatal(err)
+			}
+			ix.prune = true
+			for v := range sets {
+				if pruned[v] != plain[v] {
+					t.Fatalf("trial %d view %d ratio %.2f: pruned list scan %d != unpruned %d",
+						trial, v, ratio, pruned[v], plain[v])
 				}
 			}
 		}
@@ -149,7 +189,7 @@ func TestDescriptorIndexPruneArmsOnSpreadNorms(t *testing.T) {
 	if ix := NewDescriptorIndex(spread); !ix.prune {
 		t.Error("wide-norm gallery did not arm pruning")
 	}
-	// Unit-normalised rows must keep the plain kernel.
+	// Unit-normalised rows must keep IVF's plain list scan.
 	unit := &features.Set{}
 	for i := 0; i < 8; i++ {
 		d := make([]float32, 4)
@@ -245,24 +285,28 @@ func TestRunParallelDescriptorKindsMatchSerial(t *testing.T) {
 // workers must see consistent counts.
 func TestDescriptorScratchPoolUnderConcurrency(t *testing.T) {
 	small := NewGallery(&dataset.Set{Name: "shared", Samples: sns1.Samples[:10]})
-	p := NewDescriptor(ORB, 0.75)
-	p.Prepare(small, 4)
 	queries := sns2.Samples[:6]
-	want := make([]Prediction, len(queries))
-	for i, q := range queries {
-		want[i] = p.Classify(q.Image, small)
-	}
-	var wg sync.WaitGroup
-	for worker := 0; worker < 12; worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, q := range queries {
-				if got := p.Classify(q.Image, small); got != want[i] {
-					t.Errorf("concurrent classify %d: %+v != %+v", i, got, want[i])
+	// SIFT's float index runs the lane-blocked scan, whose
+	// transposed-query scratch is pooled on the index too.
+	for _, kind := range []DescriptorKind{ORB, SIFT} {
+		p := NewDescriptor(kind, 0.75)
+		p.Prepare(small, 4)
+		want := make([]Prediction, len(queries))
+		for i, q := range queries {
+			want[i] = p.Classify(q.Image, small)
+		}
+		var wg sync.WaitGroup
+		for worker := 0; worker < 12; worker++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, q := range queries {
+					if got := p.Classify(q.Image, small); got != want[i] {
+						t.Errorf("concurrent %s classify %d: %+v != %+v", kind, i, got, want[i])
+					}
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

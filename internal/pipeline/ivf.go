@@ -485,6 +485,23 @@ func (iv *IVFIndex) Scan(ctx context.Context, query *features.Set, ratio float64
 	return err
 }
 
+// pruneMargin absorbs the relative rounding of the float32 distance
+// accumulation (<= dim * 2^-23, ~1.5e-5 at dim 128): a candidate is
+// only skipped when its — separately error-deflated — lower bound
+// exceeds the current second-best by more than that. Together with the
+// absolute deflation below, skipped candidates can never have beaten
+// the second-best, keeping IVF's pruned list scan bit-identical to the
+// unpruned one.
+const pruneMargin = 1 - 1e-4
+
+// normErrScale bounds the relative error of a computed row norm
+// (float32 sum of dim squares, then sqrt: <= ~dim * 2^-25 + 2^-24,
+// taken at 2^-22 per unit dim for an ~8x safety factor). The norm
+// difference rq - rn cancels catastrophically, so its absolute error —
+// up to (rq + rn) * normErrScale * dim — must be subtracted from the
+// bound before squaring rather than folded into a relative margin.
+const normErrScale = 1.0 / (1 << 22)
+
 // scanFloat is the approximate probe over float rows: L2 centroid
 // ranking, exact L2Squared fold over the nprobe nearest lists.
 func (iv *IVFIndex) scanFloat(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
@@ -534,8 +551,8 @@ func (iv *IVFIndex) scanFloat(ctx context.Context, qp *features.Packed, ratio fl
 
 		// Scan the selected lists' flat blocks with the exact kernel,
 		// folding each row into its view's best/second-best. The norm
-		// prune replicates the flat kernel's bound arithmetic, which is
-		// value-safe: a pruned row can never have improved the pair.
+		// prune is value-safe: a pruned row can never have improved the
+		// pair.
 		for k := 0; k < nprobe; k++ {
 			lst := sc.ord[k]
 			for slot := iv.listStarts[lst]; slot < iv.listStarts[lst+1]; slot++ {

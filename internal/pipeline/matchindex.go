@@ -27,8 +27,9 @@ type MatchIndex interface {
 	// counts; per-view results do not depend on the split, which is
 	// what lets a sharded scan write disjoint ranges concurrently and
 	// stay bit-identical to one unsharded call. The scan checks ctx
-	// once per query descriptor: a non-nil error is the context's, and
-	// the counts are then incomplete and must be discarded. A non-nil
+	// once per query descriptor, or once per view in the flat float
+	// scan: a non-nil error is the context's, and the counts are then
+	// incomplete and must be discarded. A non-nil
 	// tr receives the elapsed match (probe/scan) and verify (exact
 	// re-scoring) time and the backend feeds the aggregate ANN
 	// histograms; tr accumulates with atomic adds, so concurrent shard

@@ -1,0 +1,156 @@
+package simd
+
+import (
+	"math"
+	"testing"
+
+	"snmatch/internal/rng"
+)
+
+// requireAVX2 skips an assembly-vs-Go comparison on CPUs where the
+// assembly never runs, and logs which path the test exercised.
+func requireAVX2(t *testing.T) {
+	t.Helper()
+	if !useAVX2 {
+		t.Skip("CPU lacks AVX2 or the OS has not enabled YMM state: the Go twins are the only path here")
+	}
+	t.Log("AVX2 path active: comparing the assembly kernel with its Go twin")
+}
+
+// randVals fills n floats of mixed sign and magnitude, so any change
+// in operation order shows up in the low bits.
+func randVals(r *rng.RNG, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = float32(r.Range(-1, 1) * math.Ldexp(1, r.IntRange(-8, 8)))
+	}
+	return v
+}
+
+func bitsEqual(t *testing.T, label string, want, got []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("%s: element %d: Go twin %v (%#08x), assembly %v (%#08x)",
+				label, i, want[i], math.Float32bits(want[i]), got[i], math.Float32bits(got[i]))
+		}
+	}
+}
+
+// TestKernelAccumRowsBitEqual covers every width remainder mod 32 and
+// mod 8, odd and even tap counts, and a single tap. Odd trials pass
+// the horizontal convolution pass's rows, overlapping shifted windows
+// of one padded row, with kernels up to twice as wide as the row.
+func TestKernelAccumRowsBitEqual(t *testing.T) {
+	requireAVX2(t)
+	r := rng.New(3)
+	for trial := 0; trial < 400; trial++ {
+		w := trial % 97
+		var rows [][]float32
+		if trial%2 == 0 {
+			rows = make([][]float32, 1+r.Intn(14))
+			for k := range rows {
+				rows[k] = randVals(r, w)
+			}
+		} else {
+			rows = make([][]float32, 1+r.Intn(2*w+4))
+			pad := randVals(r, w+len(rows)-1)
+			for k := range rows {
+				rows[k] = pad[k : k+w]
+			}
+		}
+		kernel := randVals(r, len(rows))
+		want, got := make([]float32, w), make([]float32, w)
+		accumRowsGo(want, rows, kernel)
+		accumRowsAVX2(got, rows, kernel)
+		bitsEqual(t, "accumRows", want, got)
+	}
+}
+
+// TestKernelLane2NNBitEqual covers every row count mod 4, dimensions
+// 1 to 130, lane blocks padded past the last query, coarse values that
+// force exact distance ties, duplicated rows, and NaN distances.
+func TestKernelLane2NNBitEqual(t *testing.T) {
+	requireAVX2(t)
+	r := rng.New(7)
+	for trial := 0; trial < 400; trial++ {
+		dim := 1 + r.Intn(130)
+		n := trial % 13
+		nq := 1 + r.Intn(Lanes)
+		coarse := trial%2 == 0
+		vals := func(k int) []float32 {
+			if !coarse {
+				return randVals(r, k)
+			}
+			v := make([]float32, k)
+			for i := range v {
+				v[i] = float32(r.Intn(3))
+			}
+			return v
+		}
+		rows := vals(n * dim)
+		for i := 1; i < n; i++ {
+			if r.Intn(3) == 0 { // duplicate an earlier row
+				j := r.Intn(i)
+				copy(rows[i*dim:(i+1)*dim], rows[j*dim:(j+1)*dim])
+			}
+		}
+		if n > 0 && trial%7 == 0 {
+			rows[r.Intn(n*dim)] = float32(math.NaN())
+		}
+		qt := make([]float32, Lanes*dim)
+		TransposeLanes(qt, vals(nq*dim), dim)
+
+		ws1, ws2 := infLanes, infLanes
+		gs1, gs2 := infLanes, infLanes
+		lane2NNGo(&ws1, &ws2, qt, rows, dim)
+		lane2NNAVX2(&gs1, &gs2, qt, rows, dim)
+		bitsEqual(t, "lane2NN best", ws1[:], gs1[:])
+		bitsEqual(t, "lane2NN second", ws2[:], gs2[:])
+	}
+}
+
+func benchKernels(b *testing.B, asm, twin func()) {
+	b.Run("avx2", func(b *testing.B) {
+		if !useAVX2 {
+			b.Skip("CPU lacks AVX2 or the OS has not enabled YMM state")
+		}
+		for i := 0; i < b.N; i++ {
+			asm()
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			twin()
+		}
+	})
+}
+
+// BenchmarkKernelAccumRows is one output row of either convolution
+// pass over a 256-wide row with an 11-tap kernel: SIFT's doubled
+// 128 px base image at σ≈1.6.
+func BenchmarkKernelAccumRows(b *testing.B) {
+	r := rng.New(1)
+	const w, taps = 256, 11
+	rows := make([][]float32, taps)
+	for k := range rows {
+		rows[k] = randVals(r, w)
+	}
+	kernel, dst := randVals(r, taps), make([]float32, w)
+	benchKernels(b,
+		func() { accumRowsAVX2(dst, rows, kernel) },
+		func() { accumRowsGo(dst, rows, kernel) })
+}
+
+// BenchmarkKernelLane2NN scans one lane block of 128-dim SIFT queries
+// over 22 rows, the mean view size of the 440-view SIFT gallery.
+func BenchmarkKernelLane2NN(b *testing.B) {
+	r := rng.New(4)
+	const dim, n = 128, 22
+	qt, rows := make([]float32, Lanes*dim), randVals(r, n*dim)
+	TransposeLanes(qt, randVals(r, Lanes*dim), dim)
+	var s1, s2 [Lanes]float32
+	benchKernels(b,
+		func() { s1, s2 = infLanes, infLanes; lane2NNAVX2(&s1, &s2, qt, rows, dim) },
+		func() { s1, s2 = infLanes, infLanes; lane2NNGo(&s1, &s2, qt, rows, dim) })
+}
