@@ -621,17 +621,18 @@ func BenchmarkAblationKNNVote(b *testing.B) {
 }
 
 // BenchmarkAblationMatcherANN compares the exact flat scan against the
-// IVF approximate index over one prepared gallery index — SIFT over the
+// IVF approximate index over one prepared gallery index — ORB over the
 // SNS1 gallery (the paper's FLANN remark: no gains at this data scale).
-// The SNS2 query sets are extracted outside the timing, so each
-// iteration is pure GoodMatchCounts work over every query.
+// IVF quantizes binary rows only; float SIFT and SURF rows always take
+// the exact scan. The SNS2 query sets are extracted outside the timing,
+// so each iteration is pure GoodMatchCounts work over every query.
 func BenchmarkAblationMatcherANN(b *testing.B) {
 	s := getBenchSuite(b)
 	params := pipeline.DefaultDescriptorParams()
-	ix := s.GallerySNS1.DescriptorIndexFor(pipeline.SIFT, params)
+	ix := s.GallerySNS1.DescriptorIndexFor(pipeline.ORB, params)
 	queries := make([]*features.Set, len(s.SNS2.Samples))
 	for i, q := range s.SNS2.Samples {
-		queries[i] = pipeline.ExtractDescriptors(q.Image, pipeline.SIFT, params)
+		queries[i] = pipeline.ExtractDescriptors(q.Image, pipeline.ORB, params)
 	}
 	counts := make([]int32, ix.NumViews)
 	for _, bc := range []struct {
@@ -805,14 +806,14 @@ func getANNBench(b *testing.B) *annBenchFixture {
 const annRatio = 0.5
 
 // BenchmarkANNRecall is the recall-vs-speedup axis of the approximate
-// matching backends: per descriptor family it times pure matching
-// (query sets pre-extracted) through the flat scan and through the
-// default-setting ANN backend over the same 440-view gallery, and
-// reports the backend's recall@1 against the flat argmax plus its
-// measured single-worker speedup. The flat sub-benches are the
-// baseline rows; ivf rows carry the recall and speedup metrics
-// (ivf/SIFT is the headline row — SIFT is the paper's primary
-// descriptor; ivf/ORB is reported as measured and gates nothing).
+// matching backend: per descriptor family it times pure matching
+// (query sets pre-extracted) through the flat scan over the same
+// 440-view gallery, and for binary families also through the
+// default-setting IVF backend, which reports its recall@1 against the
+// flat argmax plus its measured single-worker speedup. The flat
+// sub-benches are the baseline rows; flat/SIFT is the lane scan that
+// SIFT and SURF take under every index spec. ivf/ORB is reported as
+// measured and gates nothing.
 //
 // Each timed iteration is a full pass over all queries, so ns/op (and
 // the flat-vs-ANN ratio) is stable at small -benchtime counts instead
@@ -855,6 +856,9 @@ func BenchmarkANNRecall(b *testing.B) {
 		b.Run("flat/"+kind.String(), func(b *testing.B) {
 			flatNs = time1(b, ix, kind)
 		})
+		if !ix.Binary {
+			continue
+		}
 		ann := pipeline.NewIVFIndex(ix, pipeline.IVFParams{})
 		rec := recall(ann, kind)
 		b.Run("ivf/"+kind.String(), func(b *testing.B) {

@@ -171,25 +171,3 @@ func UsesIdentOf(info *types.Info, n ast.Node, obj types.Object) bool {
 	})
 	return found
 }
-
-// ContainsCall reports whether the subtree rooted at n contains any
-// call expression (a proxy for "this loop does real work"). Conversions
-// are type-checked as calls syntactically; they are excluded.
-func ContainsCall(info *types.Info, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			// A conversion like float64(x) parses as a CallExpr; only
-			// genuine calls count.
-			if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-				return true
-			}
-			found = true
-		}
-		return !found
-	})
-	return found
-}

@@ -161,7 +161,7 @@ type IndexFlags struct {
 // (exact scan; IVF auto nlists, nprobe 8).
 func RegisterIndexFlags(fs *flag.FlagSet) *IndexFlags {
 	return &IndexFlags{
-		Kind:      fs.String("index", "exact", "matching index backend: exact or ivf (any descriptor family)"),
+		Kind:      fs.String("index", "exact", "matching index backend: exact or ivf (ivf applies to ORB; SIFT and SURF always scan exact)"),
 		IVFNLists: fs.Int("ivf-nlists", 0, "ivf coarse list count (0 = auto ~2*sqrt(rows))"),
 		IVFNProbe: fs.Int("ivf-nprobe", 0, "ivf lists scanned per query descriptor (0 = default 8; >= nlists scans all = exact)"),
 	}

@@ -268,24 +268,6 @@ func L2Squared(a, b []float32) float32 {
 	return sum
 }
 
-// L2Squared4 computes the squared distances from q to four rows in one
-// interleaved pass: four independent accumulator chains, each still
-// summing its components in scalar order, so every returned distance
-// is bit-identical to a scalar L2Squared call.
-func L2Squared4(q, a, b, c, d []float32) (s0, s1, s2, s3 float32) {
-	for i, v := range q {
-		d0 := v - a[i]
-		s0 += d0 * d0
-		d1 := v - b[i]
-		s1 += d1 * d1
-		d2 := v - c[i]
-		s2 += d2 * d2
-		d3 := v - d[i]
-		s3 += d3 * d3
-	}
-	return s0, s1, s2, s3
-}
-
 // L2 returns the Euclidean distance between two float descriptors.
 func L2(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(L2Squared(a, b))))

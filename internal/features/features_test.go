@@ -155,24 +155,6 @@ func TestL2SquaredMatchesL2(t *testing.T) {
 	}
 }
 
-func TestL2SquaredQuadBitEqualScalar(t *testing.T) {
-	// The multi-row kernel must reproduce the scalar accumulation bit
-	// for bit — IVF's exactness contract rests on it.
-	f := func(q, a, b, c, d [16]float32) bool {
-		t0, t1, t2, t3 := L2Squared4(q[:], a[:], b[:], c[:], d[:])
-		eq := func(x, y float32) bool {
-			return math.Float32bits(x) == math.Float32bits(y)
-		}
-		return eq(t0, L2Squared(q[:], a[:])) &&
-			eq(t1, L2Squared(q[:], b[:])) &&
-			eq(t2, L2Squared(q[:], c[:])) &&
-			eq(t3, L2Squared(q[:], d[:]))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSetAccessors(t *testing.T) {
 	s := &Set{Keypoints: []Keypoint{{X: 1}}, Binary: [][]byte{{1}}}
 	if s.Len() != 1 || !s.IsBinary() {

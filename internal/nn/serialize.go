@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"snmatch/internal/imaging"
 )
@@ -66,29 +65,6 @@ func Load(r io.Reader) (*NXCorrNet, error) {
 		}
 	}
 	return net, nil
-}
-
-// SaveFile writes the model to a file path.
-func (n *NXCorrNet) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("nn: save file: %w", err)
-	}
-	defer f.Close()
-	if err := n.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a model from a file path.
-func LoadFile(path string) (*NXCorrNet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load file: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // ImageToTensor converts an RGB image to a [3, H, W] tensor with values

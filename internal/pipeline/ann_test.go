@@ -32,9 +32,10 @@ func randGallerySets(r *rng.RNG, nViews int, binary bool, vocab int) []*features
 }
 
 // TestFullProbeBitIdenticalToFlat is the house determinism contract for
-// the IVF backend over both row representations: at full-probe
-// settings, counts must equal the flat scan bit for bit — directly and
-// through every sharded fan-out width.
+// the IVF spec over both row representations: a non-empty binary index
+// gets the IVF backend and a float one the flat index itself, and at
+// full-probe settings counts must equal the flat scan bit for bit —
+// directly and through every sharded fan-out width.
 func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 	r := rng.New(977)
 	for trial := 0; trial < 12; trial++ {
@@ -43,8 +44,11 @@ func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 		sets := randGallerySets(r, 1+r.Intn(10), binary, vocab)
 		ix := NewDescriptorIndex(sets)
 		mi := buildMatchIndex(ix, fullProbeIVF)
-		if ix.Len() > 0 && mi == MatchIndex(ix) {
-			t.Fatalf("trial %d: full-probe spec %v built no backend", trial, fullProbeIVF)
+		if _, isIVF := mi.(*IVFIndex); binary && ix.Len() > 0 && !isIVF {
+			t.Fatalf("trial %d: full-probe spec %v built no IVF backend over binary rows", trial, fullProbeIVF)
+		}
+		if !binary && mi != MatchIndex(ix) {
+			t.Fatalf("trial %d: spec %v over float rows must return the flat index", trial, fullProbeIVF)
 		}
 		var query *features.Set
 		if binary {
@@ -78,17 +82,18 @@ func TestFullProbeBitIdenticalToFlat(t *testing.T) {
 }
 
 // TestIVFDegenerateClustersExact drives the non-delegating IVF scan
-// where equality is provable: all rows identical means k-means
-// collapses every row into the lowest-index cluster, so nprobe=1 scans
-// the whole gallery and must reproduce the flat counts exactly. The
-// remaining lists are empty — the degenerate-cluster path.
+// where equality is provable: all rows identical means k-majority
+// training collapses every row into the lowest-index cluster, so
+// nprobe=1 scans the whole gallery and must reproduce the flat counts
+// exactly. The remaining lists are empty — the degenerate-cluster path.
 func TestIVFDegenerateClustersExact(t *testing.T) {
-	row := []float32{3, 1, 4, 1, 5, 9}
+	r := rng.New(7)
+	row := randBinarySet(r, 1, 32).Binary[0]
 	sets := make([]*features.Set, 5)
 	for v := range sets {
 		s := &features.Set{}
 		for i := 0; i < 4; i++ {
-			s.Float = append(s.Float, append([]float32(nil), row...))
+			s.Binary = append(s.Binary, append([]byte(nil), row...))
 			s.Keypoints = append(s.Keypoints, features.Keypoint{})
 		}
 		sets[v] = s
@@ -98,8 +103,7 @@ func TestIVFDegenerateClustersExact(t *testing.T) {
 	if iv.full {
 		t.Fatal("nprobe=1 of nlists=4 must not delegate")
 	}
-	r := rng.New(7)
-	query := randFloatSet(r, 6, 6, 12)
+	query := randBinarySet(r, 6, 32)
 	want := make([]int32, ix.NumViews)
 	got := make([]int32, ix.NumViews)
 	ix.GoodMatchCounts(query, 0.9, want)
@@ -127,7 +131,7 @@ func (c *expiringCtx) Err() error {
 }
 
 // TestScanHonoursDeadlineMidQuery pins the in-scan checkpoints: the
-// flat binary kernel and both IVF probes check ctx once per query
+// flat binary kernel and the IVF probe check ctx once per query
 // descriptor and the flat float kernel once per view, so a deadline
 // that expires partway through a scan stops it with that error before
 // its last checkpoint.
@@ -149,7 +153,6 @@ func TestScanHonoursDeadlineMidQuery(t *testing.T) {
 	}{
 		{"flat/float", floatIx, randFloatSet(r, nq, 6, 12), len(floatSets)},
 		{"flat/binary", binIx, randBinarySet(r, nq, 32), nq},
-		{"ivf/float", NewIVFIndex(floatIx, IVFParams{NLists: 4, NProbe: 1}), randFloatSet(r, nq, 6, 12), nq},
 		{"ivf/binary", NewIVFIndex(binIx, IVFParams{NLists: 4, NProbe: 1}), randBinarySet(r, nq, 32), nq},
 	} {
 		if iv, ok := tc.mi.(*IVFIndex); ok && iv.full {
@@ -168,7 +171,8 @@ func TestScanHonoursDeadlineMidQuery(t *testing.T) {
 }
 
 // TestBuildMatchIndexFallbacks: an empty index must fall back to the
-// flat scan rather than build a dead backend.
+// flat scan rather than build a dead backend, and IVF refuses float
+// rows outright.
 func TestBuildMatchIndexFallbacks(t *testing.T) {
 	r := rng.New(11)
 	floatIx := NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8)})
@@ -184,6 +188,12 @@ func TestBuildMatchIndexFallbacks(t *testing.T) {
 	if k := floatIx.IndexKind(); k != ExactKind {
 		t.Fatalf("flat index kind = %v", k)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewIVFIndex over float rows did not panic")
+		}
+	}()
+	NewIVFIndex(floatIx, IVFParams{})
 }
 
 // TestIndexSpecValidateAndParse covers the config surface: kind
@@ -233,15 +243,18 @@ func TestIndexSpecValidateAndParse(t *testing.T) {
 // scan's error contract for mismatched queries.
 func TestMixedRepresentationQueryPanics(t *testing.T) {
 	r := rng.New(23)
-	floatIx := NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8), randFloatSet(r, 4, 6, 8)})
-	ivf := NewIVFIndex(floatIx, IVFParams{NLists: 2, NProbe: 1})
+	binIx := NewDescriptorIndex([]*features.Set{randBinarySet(r, 4, 32), randBinarySet(r, 4, 32)})
+	ivf := NewIVFIndex(binIx, IVFParams{NLists: 2, NProbe: 1})
+	if ivf.full {
+		t.Fatal("fixture delegates to the flat kernel")
+	}
 	counts := make([]int32, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ivf-binary-query: mixed representation did not panic")
+			t.Fatal("ivf-float-query: mixed representation did not panic")
 		}
 	}()
-	ivf.GoodMatchCounts(randBinarySet(r, 3, 32), 0.8, counts)
+	ivf.GoodMatchCounts(randFloatSet(r, 3, 6, 8), 0.8, counts)
 }
 
 // TestGalleryIndexSpecPlumbing exercises the serving surface end to
@@ -263,12 +276,12 @@ func TestGalleryIndexSpecPlumbing(t *testing.T) {
 	if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
 		t.Fatal(err)
 	}
-	// IVF quantizes both representations: binary ORB rows get the
-	// Hamming k-majority quantizer, float SIFT rows the L2 one.
+	// IVF quantizes binary ORB rows with the Hamming k-majority
+	// quantizer; float SIFT rows keep the exact scan.
 	if k := g.MatchIndexFor(ORB, params).IndexKind(); k != IVFKind {
 		t.Fatalf("ORB backend under ivf spec = %v", k)
 	}
-	if k := g.MatchIndexFor(SIFT, params).IndexKind(); k != IVFKind {
+	if k := g.MatchIndexFor(SIFT, params).IndexKind(); k != ExactKind {
 		t.Fatalf("SIFT backend under ivf spec = %v", k)
 	}
 	mi := g.MatchIndexFor(ORB, params)
@@ -338,7 +351,7 @@ func TestANNFullProbePredictionsBitIdentical(t *testing.T) {
 
 // TestANNDefaultSettingsRecallFloor is the recall@1 regression gate at
 // the default approximate settings: over a scaled synthetic gallery the
-// IVF predictions must agree with the exact scan on at least 95%
+// IVF predictions on ORB must agree with the exact scan on at least 95%
 // of queries — the floor the CI smoke also enforces. Queries are unseen
 // poses of the enrolled models (the serving regime: novel viewpoints of
 // known objects), rendered at 128px so views carry enough keypoints for
@@ -350,39 +363,28 @@ func TestANNDefaultSettingsRecallFloor(t *testing.T) {
 	g := NewGalleryWorkers(dataset.BuildLargeAt(12, 6, 128, 9), 0)
 	params := DefaultDescriptorParams()
 	g.PrepareDescriptorsWorkers(ORB, params, 0)
-	g.PrepareDescriptorsWorkers(SIFT, params, 0)
 	queries := dataset.BuildLargeQueriesAt(12, 3, 128, 9)
 
 	const floor = 0.95
-	for _, rn := range []struct {
-		kind DescriptorKind
-		spec IndexSpec
-	}{
-		{ORB, IndexSpec{Kind: IVFKind}},
-		{SIFT, IndexSpec{Kind: IVFKind}},
-	} {
-		p := NewDescriptor(rn.kind, 0.5)
-		if err := g.SetIndexSpec(IndexSpec{Kind: ExactKind}); err != nil {
-			t.Fatal(err)
+	spec := IndexSpec{Kind: IVFKind}
+	p := NewDescriptor(ORB, 0.5)
+	exact := make([]Prediction, queries.Len())
+	for i, q := range queries.Samples {
+		exact[i] = p.Classify(q.Image, g)
+	}
+	if err := g.SetIndexSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	agree := 0
+	for i, q := range queries.Samples {
+		if p.Classify(q.Image, g).Index == exact[i].Index {
+			agree++
 		}
-		exact := make([]Prediction, queries.Len())
-		for i, q := range queries.Samples {
-			exact[i] = p.Classify(q.Image, g)
-		}
-		if err := g.SetIndexSpec(rn.spec); err != nil {
-			t.Fatal(err)
-		}
-		agree := 0
-		for i, q := range queries.Samples {
-			if p.Classify(q.Image, g).Index == exact[i].Index {
-				agree++
-			}
-		}
-		recall := float64(agree) / float64(queries.Len())
-		t.Logf("%s %v: recall@1 %.3f (%d/%d)", rn.kind, rn.spec, recall, agree, queries.Len())
-		if recall < floor {
-			t.Fatalf("%s %v: recall@1 %.3f below the %.2f floor", rn.kind, rn.spec, recall, floor)
-		}
+	}
+	recall := float64(agree) / float64(queries.Len())
+	t.Logf("ORB %v: recall@1 %.3f (%d/%d)", spec, recall, agree, queries.Len())
+	if recall < floor {
+		t.Fatalf("ORB %v: recall@1 %.3f below the %.2f floor", spec, recall, floor)
 	}
 }
 

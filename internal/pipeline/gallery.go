@@ -216,12 +216,13 @@ func (g *Gallery) IndexSpec() IndexSpec {
 }
 
 // MatchIndexFor returns the matching engine for the kind under the
-// gallery's IndexSpec: the flat index itself for ExactKind (or an empty
-// index), the cached approximate backend otherwise. Like the flat cache it is safe under
-// concurrent Classify traffic — the build is a pure function of the
-// flat index and the spec, so racing builders agree and the first store
-// wins. A cached backend is discarded when the flat index it wraps is
-// no longer the gallery's current one.
+// gallery's IndexSpec: the flat index itself for ExactKind, for an
+// empty index and for float rows (SIFT, SURF) under any spec, the
+// cached IVF backend over binary rows otherwise. Like the flat cache
+// it is safe under concurrent Classify traffic — the build is a pure
+// function of the flat index and the spec, so racing builders agree
+// and the first store wins. A cached backend is discarded when the
+// flat index it wraps is no longer the gallery's current one.
 func (g *Gallery) MatchIndexFor(kind DescriptorKind, p DescriptorParams) MatchIndex {
 	flat := g.descriptorIndex(kind, p)
 	g.mu.RLock()

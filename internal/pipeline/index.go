@@ -33,23 +33,13 @@ type DescriptorIndex struct {
 	// Starts[v]..Starts[v+1] is the descriptor row range of view v.
 	Starts []int
 
-	// Float layout (row-major, stride Dim), with per-row Euclidean
-	// norms (square roots of the packed squared norms) for the
-	// norm-difference lower bound of IVF's list scan.
-	Dim       int
-	Floats    []float32
-	RootNorms []float32
+	// Float layout: row-major, stride Dim.
+	Dim    int
+	Floats []float32
 
 	// Binary layout: word-packed rows of stride WordsPerRow.
 	WordsPerRow int
 	Words       []uint64
-
-	// prune enables the norm-difference early-exit in IVF's float
-	// list scan (IVFIndex.scanFloat). It is switched off at build time
-	// when the gallery's norms barely vary (e.g. unit-normalised
-	// SIFT/SURF descriptors), where the test could never fire and
-	// would only cost a branch.
-	prune bool
 
 	counts sync.Pool // *[]int32 scratch, one per concurrent classifier
 	lanes  sync.Pool // *[]float32 transposed-query scratch of the float scan
@@ -112,35 +102,19 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 		if ix.Dim == 0 {
 			ix.Dim = p.Dim
 			ix.Floats = make([]float32, total*p.Dim)
-			ix.RootNorms = make([]float32, total)
 		}
 		if p.Dim != ix.Dim || s.IsBinary() {
 			panic("pipeline: inconsistent descriptor sets in index")
 		}
 	}
 	off = 0
-	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
 	for _, s := range sets {
 		if s == nil || s.Len() == 0 {
 			continue
 		}
-		p := s.Packed
-		copy(ix.Floats[off*ix.Dim:], p.Floats)
-		for i := 0; i < p.N; i++ {
-			r := sqrt32(p.Norms[i])
-			ix.RootNorms[off+i] = r
-			if r < lo {
-				lo = r
-			}
-			if r > hi {
-				hi = r
-			}
-		}
+		copy(ix.Floats[off*ix.Dim:], s.Packed.Floats)
 		off += s.Len()
 	}
-	// Unit-normalised galleries (SIFT, SURF) have no norm spread for
-	// the bound to exploit; keep IVF's plain list scan there.
-	ix.prune = off > 0 && hi-lo > 0.05*hi
 	return ix
 }
 
@@ -153,7 +127,7 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 // mismatch (including nil storage, the v1 path) falls back to the
 // copying NewDescriptorIndex build. Either way the result is
 // bit-identical to NewDescriptorIndex(sets): same Starts, same scan
-// storage bytes, same RootNorms and prune decision.
+// storage bytes.
 func RestoreDescriptorIndex(sets []*features.Set, floats []float32, words []uint64) *DescriptorIndex {
 	skel := &DescriptorIndex{NumViews: len(sets), Starts: make([]int, len(sets)+1)}
 	off := 0
@@ -207,26 +181,6 @@ func RestoreDescriptorIndex(sets []*features.Set, floats []float32, words []uint
 		return skel
 	}
 	skel.Floats = floats
-	skel.RootNorms = make([]float32, off)
-	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
-	for v, s := range sets {
-		if s == nil || s.Len() == 0 {
-			continue
-		}
-		p := s.Packed
-		start := skel.Starts[v]
-		for i := 0; i < p.N; i++ {
-			r := sqrt32(p.Norms[i])
-			skel.RootNorms[start+i] = r
-			if r < lo {
-				lo = r
-			}
-			if r > hi {
-				hi = r
-			}
-		}
-	}
-	skel.prune = hi-lo > 0.05*hi
 	return skel
 }
 

@@ -64,8 +64,8 @@ func concatSets(rng *rand.Rand, n, dim int, binary bool) ([]*features.Set, []flo
 }
 
 // TestRestoreDescriptorIndexBitIdentical pins the alias-aware rebuild
-// against NewDescriptorIndex: same Starts, same storage bytes, same
-// RootNorms — and the aliased build really aliases (no copy).
+// against NewDescriptorIndex: same Starts, same storage bytes — and the
+// aliased build really aliases (no copy).
 func TestRestoreDescriptorIndexBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -75,10 +75,9 @@ func TestRestoreDescriptorIndexBitIdentical(t *testing.T) {
 		want := NewDescriptorIndex(sets)
 		got := RestoreDescriptorIndex(sets, floats, words)
 		if got.Binary != want.Binary || got.NumViews != want.NumViews || got.Dim != want.Dim ||
-			got.WordsPerRow != want.WordsPerRow || got.prune != want.prune ||
+			got.WordsPerRow != want.WordsPerRow ||
 			!reflect.DeepEqual(got.Starts, want.Starts) ||
 			!reflect.DeepEqual(got.Floats, want.Floats) ||
-			!reflect.DeepEqual(got.RootNorms, want.RootNorms) ||
 			!reflect.DeepEqual(got.Words, want.Words) {
 			t.Fatalf("trial %d (binary=%v): restored index differs from rebuilt", trial, binary)
 		}
@@ -106,8 +105,7 @@ func TestRestoreDescriptorIndexFallback(t *testing.T) {
 
 	check := func(label string, got *DescriptorIndex) {
 		t.Helper()
-		if !reflect.DeepEqual(got.Starts, want.Starts) || !reflect.DeepEqual(got.Floats, want.Floats) ||
-			!reflect.DeepEqual(got.RootNorms, want.RootNorms) || got.prune != want.prune {
+		if !reflect.DeepEqual(got.Starts, want.Starts) || !reflect.DeepEqual(got.Floats, want.Floats) {
 			t.Fatalf("%s: fallback index differs", label)
 		}
 	}

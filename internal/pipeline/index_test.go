@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -28,8 +27,7 @@ func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction 
 }
 
 // randFloatSet draws integer-valued components so distances are exact
-// and small vocabularies produce genuine ties; spread>1 vocabularies
-// give the norm spread that arms IVF's norm prune.
+// and small vocabularies produce genuine ties.
 func randFloatSet(r *rng.RNG, n, dim, vocab int) *features.Set {
 	s := &features.Set{}
 	for i := 0; i < n; i++ {
@@ -97,17 +95,14 @@ func TestDescriptorIndexMatchesPerViewCounts(t *testing.T) {
 	}
 }
 
-// TestDescriptorIndexPruneExactAtLargeNorms stresses the norm-difference
-// prune of IVF's float list scan where the bound is least accurate:
-// high dimension and large, clustered magnitudes (norms in the
-// thousands, partially non-representable squared sums), mixed with
-// near-origin rows so pruning fires aggressively. Every view also holds
-// scaled copies c·q of query rows, whose distance |c-1|·|q| the bound
-// meets almost exactly, so a bound that over-reaches skips rows that
-// decide a ratio test. Across a sweep of ratios the pruned list scan's
-// shortlist counts must equal those of the same scan with the prune
-// off, and the flat scan's counts the per-view reference, exactly.
-func TestDescriptorIndexPruneExactAtLargeNorms(t *testing.T) {
+// TestDescriptorIndexExactAtLargeNorms stresses the flat float scan
+// where float32 accumulation is least forgiving: high dimension and
+// large, clustered magnitudes (norms in the thousands, partially
+// non-representable squared sums), mixed with near-origin rows. Every
+// view also holds scaled copies c·q of query rows, near-ties at
+// distance |c-1|·|q| that decide ratio tests. Across a sweep of ratios
+// the flat scan's counts must equal the per-view reference exactly.
+func TestDescriptorIndexExactAtLargeNorms(t *testing.T) {
 	r := rng.New(131)
 	mixedSet := func(n int) *features.Set {
 		s := &features.Set{}
@@ -125,7 +120,6 @@ func TestDescriptorIndexPruneExactAtLargeNorms(t *testing.T) {
 		}
 		return s
 	}
-	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
 		sets := make([]*features.Set, 4)
 		for v := range sets {
@@ -145,16 +139,7 @@ func TestDescriptorIndexPruneExactAtLargeNorms(t *testing.T) {
 			}
 		}
 		ix := NewDescriptorIndex(sets)
-		if !ix.prune {
-			t.Fatal("mixed-magnitude gallery did not arm pruning")
-		}
-		iv := NewIVFIndex(ix, IVFParams{NLists: 4, NProbe: 2})
-		if iv.full {
-			t.Fatal("fixture delegates to the flat kernel")
-		}
-		qp := query.Pack().Packed
 		counts := make([]int32, len(sets))
-		pruned, plain := make([]int32, len(sets)), make([]int32, len(sets))
 		for ratio := 0.05; ratio <= 1; ratio += 0.05 {
 			ix.GoodMatchCounts(query, ratio, counts)
 			for v, s := range sets {
@@ -163,42 +148,7 @@ func TestDescriptorIndexPruneExactAtLargeNorms(t *testing.T) {
 						trial, v, ratio, counts[v], want)
 				}
 			}
-			clear(pruned)
-			clear(plain)
-			if err := iv.scanFloat(ctx, qp, ratio, pruned, 0, len(sets)); err != nil {
-				t.Fatal(err)
-			}
-			ix.prune = false
-			if err := iv.scanFloat(ctx, qp, ratio, plain, 0, len(sets)); err != nil {
-				t.Fatal(err)
-			}
-			ix.prune = true
-			for v := range sets {
-				if pruned[v] != plain[v] {
-					t.Fatalf("trial %d view %d ratio %.2f: pruned list scan %d != unpruned %d",
-						trial, v, ratio, pruned[v], plain[v])
-				}
-			}
 		}
-	}
-}
-
-func TestDescriptorIndexPruneArmsOnSpreadNorms(t *testing.T) {
-	r := rng.New(7)
-	spread := []*features.Set{randFloatSet(r, 10, 6, 9), randFloatSet(r, 10, 6, 9)}
-	if ix := NewDescriptorIndex(spread); !ix.prune {
-		t.Error("wide-norm gallery did not arm pruning")
-	}
-	// Unit-normalised rows must keep IVF's plain list scan.
-	unit := &features.Set{}
-	for i := 0; i < 8; i++ {
-		d := make([]float32, 4)
-		d[i%4] = 1
-		unit.Float = append(unit.Float, d)
-		unit.Keypoints = append(unit.Keypoints, features.Keypoint{})
-	}
-	if ix := NewDescriptorIndex([]*features.Set{unit}); ix.prune {
-		t.Error("unit-norm gallery armed pruning")
 	}
 }
 

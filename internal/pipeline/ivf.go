@@ -13,11 +13,19 @@ import (
 	"snmatch/internal/rng"
 )
 
-// ivfMaxTrain caps the k-means training sample: Lloyd iterations run
-// over at most this many rows, then one assignment pass places every
-// row. Sampling keeps the build near-linear in the gallery while the
-// centroids stay representative.
+// ivfMaxTrain caps the k-majority training sample: the training
+// iterations run over at most this many rows, then one assignment pass
+// places every row. Sampling keeps the build near-linear in the gallery
+// while the centroids stay representative.
 const ivfMaxTrain = 4096
+
+// ivfIters is the k-majority training iteration count, and ivfSeed
+// seeds its sample and initial centroids: equal galleries build
+// identical lists on every platform.
+const (
+	ivfIters = 6
+	ivfSeed  = 1 ^ 0x1f5b1e5ced1a7a11
+)
 
 // ivfHorizonScale discounts the probe horizon in the single-candidate
 // shortlist rule. The horizon (distance to the nearest unprobed
@@ -31,28 +39,28 @@ const ivfMaxTrain = 4096
 const ivfHorizonScale = 0.5
 
 // IVFIndex is inverted-file coarse quantization over the flat index's
-// rows (the FAISS IVF-flat layout, adapted to the per-view ratio
-// test): a deterministic seeded coarse quantizer partitions the rows
-// into nlists cells, each stored as a flat row-major block (rows, root
-// norms, owning view per slot) so the scan runs the exact distance
-// kernels over contiguous memory. Float rows (SIFT/SURF) train with
-// sampled Lloyd k-means under L2; binary rows (ORB) train with the
-// k-majority variant — Hamming assignment, per-bit majority-vote
-// centroid update — so the quantizer adapts to however the codes
+// binary rows (the FAISS IVF-flat layout, adapted to the per-view ratio
+// test): a deterministic seeded k-majority quantizer — Hamming
+// assignment, per-bit majority-vote centroid update — partitions the
+// rows into nlists cells, each stored as a flat row-major block (rows
+// and owning view per slot) so the scan runs the exact Hamming kernel
+// over contiguous memory. The quantizer adapts to however the codes
 // cluster, which keeps the probe sub-linear even on the low-entropy
-// descriptor sets that defeat fixed substring hashing. A query
-// descriptor ranks the centroids and scans only the nprobe nearest
-// lists; per-view best/second-best fold exactly like the flat scan
-// over the rows encountered, and a view contributing fewer than two
-// candidate rows is skipped (no second-neighbour denominator — the
-// rule the flat scan applies to views with fewer than two rows). The
-// probed fold only shortlists: every view with a non-zero approximate
-// count is then re-scored exactly by the flat kernel over its full row
-// block (verifyShortlist), which repairs the coarse scan's systematic
-// undercounting (a second neighbour in an unprobed cell otherwise
-// drops the count) — final counts are either the flat scan's number or
-// zero. At NProbe >= nlists every row would be scanned, so the query
-// delegates to the flat kernel outright and is bit-identical to it.
+// descriptor sets that defeat fixed substring hashing. Float rows
+// (SIFT, SURF) are not quantized: the flat lane scan answers them
+// exactly and faster. A query descriptor ranks the centroids and scans
+// only the nprobe nearest lists; per-view best/second-best fold
+// exactly like the flat scan over the rows encountered, and a view
+// contributing fewer than two candidate rows is skipped (no
+// second-neighbour denominator — the rule the flat scan applies to
+// views with fewer than two rows). The probed fold only shortlists:
+// every view with a non-zero approximate count is then re-scored
+// exactly by the flat kernel over its full row block (verifyShortlist),
+// which repairs the coarse scan's systematic undercounting (a second
+// neighbour in an unprobed cell otherwise drops the count) — final
+// counts are either the flat scan's number or zero. At NProbe >= nlists
+// every row would be scanned, so the query delegates to the flat kernel
+// outright and is bit-identical to it.
 //
 // The index is immutable once built and safe for concurrent queries;
 // per-query scratch is pooled.
@@ -63,23 +71,20 @@ type IVFIndex struct {
 	nlists int
 	full   bool // NProbe >= nlists: exact delegation
 
-	centroids     []float32 // float rows: nlists * dim, row-major
-	centroidWords []uint64  // binary rows: nlists * wpr, packed
+	centroidWords []uint64 // nlists * wpr, packed
 
 	// Per-list flat blocks: list l owns slots
 	// listStarts[l]..listStarts[l+1] of the reordered storage.
 	listStarts []int32
-	listFloats []float32 // float rows: slot * dim
-	listWords  []uint64  // binary rows: slot * wpr
-	listNorms  []float32 // root norm per slot (float rows)
-	listView   []int32   // owning view per slot
+	listWords  []uint64 // slot * wpr
+	listView   []int32  // owning view per slot
 
 	scratch sync.Pool // *ivfScratch
 }
 
 // NewIVFIndex builds the coarse-quantized backend over a flat index of
-// either representation. It panics on parameters IndexSpec.Validate
-// would reject.
+// binary rows. It panics on parameters IndexSpec.Validate would reject
+// and on a non-empty float index, which buildMatchIndex never passes.
 func NewIVFIndex(ix *DescriptorIndex, p IVFParams) *IVFIndex {
 	p = p.withDefaults()
 	if err := (IndexSpec{Kind: IVFKind, IVF: p}).Validate(); err != nil {
@@ -90,6 +95,9 @@ func NewIVFIndex(ix *DescriptorIndex, p IVFParams) *IVFIndex {
 		iv.nlists = 1
 		iv.full = true
 		return iv
+	}
+	if !ix.Binary {
+		panic("pipeline: ivf quantizes binary rows only; float rows take the exact scan")
 	}
 
 	// Quantize only rows whose view can pass a ratio test (>= 2 rows);
@@ -134,25 +142,14 @@ func NewIVFIndex(ix *DescriptorIndex, p IVFParams) *IVFIndex {
 	// distance ranking is a pure per-row function (parallel-safe), ties
 	// break to the lowest list index.
 	assign := make([]int32, n)
-	if ix.Binary {
-		wpr := ix.WordsPerRow
-		iv.centroidWords = iv.trainBinary(rows, nlists)
-		parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
-			for i := sp.Start; i < sp.End; i++ {
-				r := int(rows[i])
-				assign[i] = iv.nearestCentroidWords(ix.Words[r*wpr : (r+1)*wpr])
-			}
-		})
-	} else {
-		dim := ix.Dim
-		iv.centroids = iv.train(rows, nlists)
-		parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
-			for i := sp.Start; i < sp.End; i++ {
-				r := int(rows[i])
-				assign[i] = iv.nearestCentroid(ix.Floats[r*dim : (r+1)*dim])
-			}
-		})
-	}
+	wpr := ix.WordsPerRow
+	iv.centroidWords = iv.trainBinary(rows, nlists)
+	parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
+		for i := sp.Start; i < sp.End; i++ {
+			r := int(rows[i])
+			assign[i] = iv.nearestCentroidWords(ix.Words[r*wpr : (r+1)*wpr])
+		}
+	})
 
 	iv.listStarts = make([]int32, nlists+1)
 	for _, l := range assign {
@@ -169,43 +166,30 @@ func NewIVFIndex(ix *DescriptorIndex, p IVFParams) *IVFIndex {
 			rowView[r] = int32(v)
 		}
 	}
-	if ix.Binary {
-		wpr := ix.WordsPerRow
-		iv.listWords = make([]uint64, n*wpr)
-		for i, r := range rows {
-			l := assign[i]
-			slot := iv.listStarts[l] + fill[l]
-			fill[l]++
-			copy(iv.listWords[int(slot)*wpr:(int(slot)+1)*wpr], ix.Words[int(r)*wpr:(int(r)+1)*wpr])
-			iv.listView[slot] = rowView[r]
-		}
-	} else {
-		dim := ix.Dim
-		iv.listFloats = make([]float32, n*dim)
-		iv.listNorms = make([]float32, n)
-		for i, r := range rows {
-			l := assign[i]
-			slot := iv.listStarts[l] + fill[l]
-			fill[l]++
-			copy(iv.listFloats[int(slot)*dim:(int(slot)+1)*dim], ix.Floats[int(r)*dim:(int(r)+1)*dim])
-			iv.listNorms[slot] = ix.RootNorms[r]
-			iv.listView[slot] = rowView[r]
-		}
+	iv.listWords = make([]uint64, n*wpr)
+	for i, r := range rows {
+		l := assign[i]
+		slot := iv.listStarts[l] + fill[l]
+		fill[l]++
+		copy(iv.listWords[int(slot)*wpr:(int(slot)+1)*wpr], ix.Words[int(r)*wpr:(int(r)+1)*wpr])
+		iv.listView[slot] = rowView[r]
 	}
 	return iv
 }
 
-// trainBinary is the k-majority analogue of train for packed binary
-// rows: Hamming assignment, per-bit majority-vote centroid update (a
-// bit is set when at least half the members set it — the component-wise
-// median, which minimises the summed Hamming distance to the members).
-// Every step is deterministic: sample and init from the spec's seed,
-// assignment ties to the lowest index, and a memberless cluster keeps
-// its previous centroid.
+// trainBinary runs the seeded, sampled k-majority iterations over
+// packed binary rows and returns the centroid words: Hamming
+// assignment, per-bit majority-vote centroid update (a bit is set when
+// at least half the members set it — the component-wise median, which
+// minimises the summed Hamming distance to the members). Every step is
+// deterministic: sample and init from ivfSeed, assignment ties to the
+// lowest index, and a memberless cluster keeps its previous centroid
+// (identical rows collapse into one live list, which the probe handles
+// like any other).
 func (iv *IVFIndex) trainBinary(rows []int32, nlists int) []uint64 {
 	ix := iv.ix
 	wpr := ix.WordsPerRow
-	r := rng.New(iv.params.Seed ^ 0x1f5b1e5ced1a7a11)
+	r := rng.New(ivfSeed)
 	sample := rows
 	if len(rows) > ivfMaxTrain {
 		perm := r.Perm(len(rows))
@@ -228,7 +212,7 @@ func (iv *IVFIndex) trainBinary(rows []int32, nlists int) []uint64 {
 	assign := make([]int32, n)
 	ones := make([]int32, nlists*rowBits)
 	members := make([]int32, nlists)
-	for it := 0; it < iv.params.Iters; it++ {
+	for it := 0; it < ivfIters; it++ {
 		parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
 			for i := sp.Start; i < sp.End; i++ {
 				row := int(sample[i])
@@ -282,113 +266,11 @@ func (iv *IVFIndex) nearestCentroidWords(row []uint64) int32 {
 	return best
 }
 
-// train runs the seeded, sampled Lloyd iterations and returns the
-// centroid matrix. Every step is deterministic: the sample and the
-// initial centroids come from the spec's seed, assignment ties break
-// to the lowest index, and centroid updates accumulate in ascending
-// sample order. A cluster that loses all members keeps its previous
-// centroid (the degenerate-duplicate-rows case collapses to one live
-// list, which the probe handles like any other).
-func (iv *IVFIndex) train(rows []int32, nlists int) []float32 {
-	ix := iv.ix
-	dim := ix.Dim
-	r := rng.New(iv.params.Seed ^ 0x1f5b1e5ced1a7a11)
-	sample := rows
-	if len(rows) > ivfMaxTrain {
-		perm := r.Perm(len(rows))
-		sample = make([]int32, ivfMaxTrain)
-		for i := range sample {
-			sample[i] = rows[perm[i]]
-		}
-	}
-	n := len(sample)
-
-	centroids := make([]float32, nlists*dim)
-	init := r.Perm(n)
-	for c := 0; c < nlists; c++ {
-		row := int(sample[init[c%n]])
-		copy(centroids[c*dim:(c+1)*dim], ix.Floats[row*dim:(row+1)*dim])
-	}
-	iv.centroids = centroids
-
-	assign := make([]int32, n)
-	sums := make([]float64, nlists*dim)
-	members := make([]int32, nlists)
-	for it := 0; it < iv.params.Iters; it++ {
-		parallel.ForEachChunk(0, n, func(_ int, sp parallel.Span) {
-			for i := sp.Start; i < sp.End; i++ {
-				row := int(sample[i])
-				assign[i] = iv.nearestCentroid(ix.Floats[row*dim : (row+1)*dim])
-			}
-		})
-		for i := range sums {
-			sums[i] = 0
-		}
-		for l := range members {
-			members[l] = 0
-		}
-		for i, l := range assign {
-			row := int(sample[i])
-			src := ix.Floats[row*dim : (row+1)*dim]
-			dst := sums[int(l)*dim : (int(l)+1)*dim]
-			for j, x := range src {
-				dst[j] += float64(x)
-			}
-			members[l]++
-		}
-		for l := 0; l < nlists; l++ {
-			if members[l] == 0 {
-				continue
-			}
-			inv := 1 / float64(members[l])
-			for j := 0; j < dim; j++ {
-				centroids[l*dim+j] = float32(sums[l*dim+j] * inv)
-			}
-		}
-	}
-	return centroids
-}
-
-// nearestCentroid returns the index of the closest centroid (lowest
-// index on ties).
-func (iv *IVFIndex) nearestCentroid(row []float32) int32 {
-	dim := iv.ix.Dim
-	best, bestD := int32(0), float32(math.Inf(1))
-	c := iv.centroids
-	l := 0
-	for ; l+4 <= iv.nlists; l += 4 {
-		d0, d1, d2, d3 := features.L2Squared4(row,
-			c[l*dim:(l+1)*dim], c[(l+1)*dim:(l+2)*dim],
-			c[(l+2)*dim:(l+3)*dim], c[(l+3)*dim:(l+4)*dim])
-		if d0 < bestD {
-			bestD, best = d0, int32(l)
-		}
-		if d1 < bestD {
-			bestD, best = d1, int32(l+1)
-		}
-		if d2 < bestD {
-			bestD, best = d2, int32(l+2)
-		}
-		if d3 < bestD {
-			bestD, best = d3, int32(l+3)
-		}
-	}
-	for ; l < iv.nlists; l++ {
-		if d := features.L2Squared(row, c[l*dim:(l+1)*dim]); d < bestD {
-			bestD, best = d, int32(l)
-		}
-	}
-	return best
-}
-
 // Flat implements MatchIndex.
 func (iv *IVFIndex) Flat() *DescriptorIndex { return iv.ix }
 
 // IndexKind implements MatchIndex.
 func (iv *IVFIndex) IndexKind() IndexKind { return IVFKind }
-
-// NLists returns the trained coarse-cell count.
-func (iv *IVFIndex) NLists() int { return iv.nlists }
 
 // ivfScratch is one query's probe state, pooled across queries.
 type ivfScratch struct {
@@ -448,28 +330,19 @@ func (iv *IVFIndex) Scan(ctx context.Context, query *features.Set, ratio float64
 	if query.Len() == 0 || iv.ix.Len() == 0 {
 		return nil
 	}
-	if query.IsBinary() != iv.ix.Binary {
+	if !query.IsBinary() {
 		panic("match: mixed descriptor representations")
 	}
 	qp := query.Pack().Packed
+	if qp.WordsPerRow != iv.ix.WordsPerRow {
+		panic("pipeline: query descriptor width does not match index")
+	}
 	pm := obsMetrics()
 	var start time.Time
 	if tr != nil {
 		start = time.Now()
 	}
-	var err error
-	if iv.ix.Binary {
-		if qp.WordsPerRow != iv.ix.WordsPerRow {
-			panic("pipeline: query descriptor width does not match index")
-		}
-		err = iv.scanBinary(ctx, qp, ratio, counts, v0, v1)
-	} else {
-		if qp.Dim != iv.ix.Dim {
-			panic("pipeline: query descriptor width does not match index")
-		}
-		err = iv.scanFloat(ctx, qp, ratio, counts, v0, v1)
-	}
-	if err != nil {
+	if err := iv.scanBinary(ctx, qp, ratio, counts, v0, v1); err != nil {
 		return err
 	}
 	if tr != nil {
@@ -477,138 +350,12 @@ func (iv *IVFIndex) Scan(ctx context.Context, query *features.Set, ratio float64
 		tr.Add(obs.StageMatch, now.Sub(start))
 		start = now
 	}
-	pm.recordScan(IVFKind, counts, v0, v1, qp.N*iv.params.NProbe)
-	err = verifyShortlist(ctx, iv.ix, query, ratio, counts, v0, v1)
+	pm.recordScan(counts, v0, v1, qp.N*iv.params.NProbe)
+	err := verifyShortlist(ctx, iv.ix, query, ratio, counts, v0, v1)
 	if tr != nil {
 		tr.Add(obs.StageVerify, time.Since(start))
 	}
 	return err
-}
-
-// pruneMargin absorbs the relative rounding of the float32 distance
-// accumulation (<= dim * 2^-23, ~1.5e-5 at dim 128): a candidate is
-// only skipped when its — separately error-deflated — lower bound
-// exceeds the current second-best by more than that. Together with the
-// absolute deflation below, skipped candidates can never have beaten
-// the second-best, keeping IVF's pruned list scan bit-identical to the
-// unpruned one.
-const pruneMargin = 1 - 1e-4
-
-// normErrScale bounds the relative error of a computed row norm
-// (float32 sum of dim squares, then sqrt: <= ~dim * 2^-25 + 2^-24,
-// taken at 2^-22 per unit dim for an ~8x safety factor). The norm
-// difference rq - rn cancels catastrophically, so its absolute error —
-// up to (rq + rn) * normErrScale * dim — must be subtracted from the
-// bound before squaring rather than folded into a relative margin.
-const normErrScale = 1.0 / (1 << 22)
-
-// scanFloat is the approximate probe over float rows: L2 centroid
-// ranking, exact L2Squared fold over the nprobe nearest lists.
-func (iv *IVFIndex) scanFloat(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
-	dim := iv.ix.Dim
-	nprobe := iv.params.NProbe
-	prune := iv.ix.prune
-	normErr := float32(dim) * normErrScale
-	sc := iv.getScratch()
-	defer iv.scratch.Put(sc)
-	for qi := 0; qi < qp.N; qi++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		q := qp.FloatRow(qi)
-		rq := sqrt32(qp.Norms[qi])
-		sc.next()
-
-		// Rank the coarse cells: 4-wide exact distances, then a partial
-		// selection of the nprobe nearest (ties to the lower list).
-		c := iv.centroids
-		l := 0
-		for ; l+4 <= iv.nlists; l += 4 {
-			sc.cd[l], sc.cd[l+1], sc.cd[l+2], sc.cd[l+3] = features.L2Squared4(q,
-				c[l*dim:(l+1)*dim], c[(l+1)*dim:(l+2)*dim],
-				c[(l+2)*dim:(l+3)*dim], c[(l+3)*dim:(l+4)*dim])
-		}
-		for ; l < iv.nlists; l++ {
-			sc.cd[l] = features.L2Squared(q, c[l*dim:(l+1)*dim])
-		}
-		for i := range sc.ord {
-			sc.ord[i] = int32(i)
-		}
-		// One extra selection slot past nprobe: ord[nprobe] must be the
-		// nearest *unprobed* centroid — the probe horizon of the
-		// single-candidate shortlist rule below (nprobe < nlists here,
-		// the full case delegated already).
-		for k := 0; k <= nprobe; k++ {
-			min := k
-			for i := k + 1; i < iv.nlists; i++ {
-				a, b := sc.ord[i], sc.ord[min]
-				if sc.cd[a] < sc.cd[b] || (sc.cd[a] == sc.cd[b] && a < b) {
-					min = i
-				}
-			}
-			sc.ord[k], sc.ord[min] = sc.ord[min], sc.ord[k]
-		}
-
-		// Scan the selected lists' flat blocks with the exact kernel,
-		// folding each row into its view's best/second-best. The norm
-		// prune is value-safe: a pruned row can never have improved the
-		// pair.
-		for k := 0; k < nprobe; k++ {
-			lst := sc.ord[k]
-			for slot := iv.listStarts[lst]; slot < iv.listStarts[lst+1]; slot++ {
-				v := iv.listView[slot]
-				if int(v) < v0 || int(v) >= v1 {
-					continue
-				}
-				s1v, s2v := inf32, inf32
-				if sc.viewMark[v] == sc.epoch {
-					s1v, s2v = sc.s1[v], sc.s2[v]
-				}
-				if prune {
-					rn := iv.listNorms[slot]
-					lb := rq - rn
-					if lb < 0 {
-						lb = -lb
-					}
-					lb -= (rq + rn) * normErr
-					if lb > 0 && lb*lb*pruneMargin >= s2v {
-						continue
-					}
-				}
-				d := features.L2Squared(q, iv.listFloats[int(slot)*dim:(int(slot)+1)*dim])
-				if sc.viewMark[v] != sc.epoch {
-					sc.viewMark[v] = sc.epoch
-					sc.s1[v], sc.s2[v] = d, inf32
-					sc.touched = append(sc.touched, v) //lint:allow noalloc touched grows into pooled scratch capped at NumViews; capacity amortizes to zero growth at steady state
-					continue
-				}
-				if d < s1v {
-					sc.s2[v], sc.s1[v] = s1v, d
-				} else if d < s2v {
-					sc.s2[v] = d
-				}
-			}
-		}
-		// A view with two candidates folds through the exact ratio test.
-		// A single-candidate view has no second-neighbour denominator;
-		// instead it is tested against the probe horizon — the nearest
-		// unprobed centroid's distance: a lone candidate already well
-		// inside the horizon would pass the ratio test against any second
-		// neighbour the probe could not see, so the view is shortlisted
-		// for verification on the strength of s1 alone.
-		horizon := float64(sqrt32(sc.cd[sc.ord[nprobe]]))
-		for _, v := range sc.touched {
-			s1, s2 := sc.s1[v], sc.s2[v]
-			if s2 < inf32 {
-				if float64(sqrt32(s1)) < ratio*float64(sqrt32(s2)) {
-					counts[v]++
-				}
-			} else if float64(sqrt32(s1)) < ratio*horizon*ivfHorizonScale {
-				counts[v]++
-			}
-		}
-	}
-	return nil
 }
 
 // scanBinary is the approximate probe over packed binary rows: Hamming

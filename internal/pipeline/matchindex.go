@@ -12,10 +12,10 @@ import (
 // MatchIndex is the matching engine behind descriptor classification:
 // given one query set it fills per-view good-match counts, the numbers
 // classifyCounts turns into a prediction. The flat DescriptorIndex is
-// the exact reference implementation; the approximate IVF backend
-// implements the same contract over candidate subsets and degrades to
-// bit-identical flat-scan results at its full-probe setting, and
-// ShardedIndex fans any backend out across workers.
+// the exact reference implementation; the approximate IVF backend over
+// binary rows implements the same contract over candidate subsets and
+// degrades to bit-identical flat-scan results at its full-probe
+// setting, and ShardedIndex fans any backend out across workers.
 type MatchIndex interface {
 	// Flat returns the underlying exact index: the row storage every
 	// backend verifies candidates against, the count-scratch pool, and
@@ -48,11 +48,11 @@ const (
 	// ExactKind is the flat full scan: perfect recall, O(gallery rows)
 	// per query descriptor.
 	ExactKind IndexKind = iota
-	// IVFKind is inverted-file coarse quantization over either row
-	// representation: deterministic seeded k-means (L2 over float rows;
-	// k-majority Hamming over binary rows) partitions the rows into
-	// lists stored as flat row-major blocks, and queries scan the
-	// nprobe nearest lists with the exact distance kernels.
+	// IVFKind is inverted-file coarse quantization over binary rows:
+	// deterministic seeded k-majority Hamming clustering partitions the
+	// rows into lists stored as flat row-major blocks, and queries scan
+	// the nprobe nearest lists with the exact Hamming kernel. Float
+	// rows keep the flat scan under this kind.
 	IVFKind
 )
 
@@ -81,38 +81,26 @@ func ParseIndexKind(s string) (IndexKind, error) {
 // IVFParams tunes the inverted-file backend. Zero values select the
 // defaults.
 type IVFParams struct {
-	// NLists is the number of coarse k-means centroids. 0 picks
+	// NLists is the number of coarse k-majority centroids. 0 picks
 	// ~2*sqrt(rows) clamped to [1, 1024].
 	NLists int
 	// NProbe is the number of nearest lists scanned per query
 	// descriptor (default 8). NProbe >= NLists scans everything — the
 	// exact full scan.
 	NProbe int
-	// Iters is the Lloyd iteration count of the (sampled, seeded)
-	// k-means training run (default 6).
-	Iters int
-	// Seed seeds the deterministic k-means (default 1): equal seeds on
-	// equal galleries build identical lists on every platform.
-	Seed uint64
 }
 
 func (p IVFParams) withDefaults() IVFParams {
 	if p.NProbe == 0 {
 		p.NProbe = 8
 	}
-	if p.Iters == 0 {
-		p.Iters = 6
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	return p
 }
 
 // IndexSpec is the per-gallery index configuration surface: which
 // backend to build over each descriptor family's flat index, and its
-// knobs. IVF quantizes either row representation, so one spec covers a
-// mixed SIFT+ORB gallery.
+// knobs. IVF quantizes binary rows only, so under an IVF spec a mixed
+// SIFT+ORB gallery scans ORB through IVF and SIFT exactly.
 type IndexSpec struct {
 	Kind IndexKind
 	IVF  IVFParams
@@ -181,10 +169,11 @@ func verifyShortlist(ctx context.Context, ix *DescriptorIndex, query *features.S
 }
 
 // buildMatchIndex constructs the spec'd backend over a flat index. An
-// empty gallery gets the flat index itself, so callers always get a
-// working MatchIndex.
+// empty gallery or a float one gets the flat index itself, so callers
+// always get a working MatchIndex: float rows take the exact lane scan
+// under every spec.
 func buildMatchIndex(ix *DescriptorIndex, spec IndexSpec) MatchIndex {
-	if ix.Len() == 0 || spec.Kind != IVFKind {
+	if ix.Len() == 0 || !ix.Binary || spec.Kind != IVFKind {
 		return ix
 	}
 	return NewIVFIndex(ix, spec.IVF)

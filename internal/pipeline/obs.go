@@ -7,14 +7,14 @@ import (
 	"snmatch/internal/obs"
 )
 
-// pipeMetrics is the pipeline's aggregate instrumentation: per-backend
-// ANN scan statistics and the extraction-context pool's health. All
-// cells are pre-resolved at EnableObs so the record path is pure atomic
-// arithmetic. Backend arrays index by IndexKind.
+// pipeMetrics is the pipeline's aggregate instrumentation: IVF scan
+// statistics and the extraction-context pool's health. All cells are
+// pre-resolved at EnableObs so the record path is pure atomic
+// arithmetic.
 type pipeMetrics struct {
-	shortlist [2]*obs.Histogram // views shortlisted per scan call
-	verifyPct [2]*obs.Histogram // percent of the scanned view range verified
-	probes    [2]*obs.Histogram // inverted lists probed per scan call
+	shortlist *obs.Histogram // views shortlisted per IVF scan call
+	verifyPct *obs.Histogram // percent of the scanned view range verified
+	probes    *obs.Histogram // inverted lists probed per IVF scan call
 
 	ctxHits   *obs.Counter
 	ctxMisses *obs.Counter
@@ -34,21 +34,15 @@ func obsMetrics() *pipeMetrics { return pmx.Load() }
 // repeated calls (every serve.New in a test binary) share cells.
 func EnableObs(r *obs.Registry) {
 	pm := &pipeMetrics{}
-	kinds := []string{ExactKind.String(), IVFKind.String()}
-	sl := r.HistogramVec("snmatch_ann_shortlist_views",
-		"Views shortlisted by one index scan call for exact verification, by backend.",
-		obs.ScaleNone, "kind", kinds...)
-	vp := r.HistogramVec("snmatch_ann_verify_percent",
-		"Percent of the scanned view range the approximate backends re-scored exactly, by backend.",
-		obs.ScaleNone, "kind", kinds...)
-	pr := r.HistogramVec("snmatch_ann_probes",
-		"Inverted lists (ivf) probed by one index scan call, by backend.",
-		obs.ScaleNone, "kind", kinds...)
-	for k, name := range kinds {
-		pm.shortlist[k] = sl.With(name)
-		pm.verifyPct[k] = vp.With(name)
-		pm.probes[k] = pr.With(name)
-	}
+	pm.shortlist = r.Histogram("snmatch_ann_shortlist_views",
+		"Views shortlisted by one IVF scan call for exact verification.",
+		obs.ScaleNone)
+	pm.verifyPct = r.Histogram("snmatch_ann_verify_percent",
+		"Percent of the scanned view range one IVF scan call re-scored exactly.",
+		obs.ScaleNone)
+	pm.probes = r.Histogram("snmatch_ann_probes",
+		"Inverted lists probed by one IVF scan call.",
+		obs.ScaleNone)
 	pm.ctxHits = r.Counter("snmatch_ctx_pool_hits_total",
 		"Extraction-context checkouts served by the warm pool.")
 	pm.ctxMisses = r.Counter("snmatch_ctx_pool_misses_total",
@@ -67,12 +61,12 @@ func EnableObs(r *obs.Registry) {
 // keep their last values; nothing records into them).
 func DisableObs() { pmx.Store(nil) }
 
-// recordScan folds one index scan call's shortlist statistics into the
-// backend's histograms: the number of shortlisted (non-zero) views in
+// recordScan folds one IVF scan call's shortlist statistics into the
+// ANN histograms: the number of shortlisted (non-zero) views in
 // [v0, v1) just before exact verification, the fraction of the range
 // that represents, and how many lists the probe walked. The
 // count pass only runs when instrumentation is on.
-func (pm *pipeMetrics) recordScan(kind IndexKind, counts []int32, v0, v1, probes int) {
+func (pm *pipeMetrics) recordScan(counts []int32, v0, v1, probes int) {
 	if pm == nil {
 		return
 	}
@@ -82,9 +76,9 @@ func (pm *pipeMetrics) recordScan(kind IndexKind, counts []int32, v0, v1, probes
 			n++
 		}
 	}
-	pm.shortlist[kind].Observe(int64(n))
+	pm.shortlist.Observe(int64(n))
 	if span := v1 - v0; span > 0 {
-		pm.verifyPct[kind].Observe(int64(n * 100 / span))
+		pm.verifyPct.Observe(int64(n * 100 / span))
 	}
-	pm.probes[kind].Observe(int64(probes))
+	pm.probes.Observe(int64(probes))
 }

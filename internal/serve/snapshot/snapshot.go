@@ -126,8 +126,7 @@ func WriteV1(w io.Writer, s *Snapshot) error {
 	}
 	// The flat indexes are not serialized: NewDescriptorIndex is a pure,
 	// deterministic function of the per-view packed sets already stored
-	// above (including the prune decision, derived from the norm
-	// spread), so persisting them would double the descriptor bytes on
+	// above, so persisting them would double the descriptor bytes on
 	// disk. Only the prepared kinds are recorded; Read rebuilds each
 	// index bit-identically from the restored sets.
 	encodeIndexKinds(&e, g)

@@ -104,13 +104,11 @@ func TestRoundTripExact(t *testing.T) {
 			t.Fatalf("%s index missing after load", k)
 		}
 		// The index is rebuilt on load; its exported storage must be
-		// bit-identical to the saved gallery's (prune behaviour is
-		// covered by the classify-exact test).
+		// bit-identical to the saved gallery's.
 		if re.Binary != ix.Binary || re.NumViews != ix.NumViews || re.Dim != ix.Dim ||
 			re.WordsPerRow != ix.WordsPerRow ||
 			!reflect.DeepEqual(re.Starts, ix.Starts) ||
 			!reflect.DeepEqual(re.Floats, ix.Floats) ||
-			!reflect.DeepEqual(re.RootNorms, ix.RootNorms) ||
 			!reflect.DeepEqual(re.Words, ix.Words) {
 			t.Fatalf("%s index differs after load", k)
 		}

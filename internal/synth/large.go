@@ -1,10 +1,6 @@
 package synth
 
-import (
-	"fmt"
-
-	"snmatch/internal/imaging"
-)
+import "snmatch/internal/imaging"
 
 // LargeView is one rendered view of the scaled synthetic taxonomy: the
 // image plus the ground truth the ANN benchmarks score against.
@@ -83,8 +79,3 @@ func LargeQueries(classes, perClass int, seed uint64) []LargeView {
 func LargeQueriesAt(classes, perClass, size int, seed uint64) []LargeView {
 	return largeViews(classes, perClass, largeQueryViewOffset, size, seed)
 }
-
-// SynsetID formats a synthetic class id in the 8-digit WordNet-synset
-// style ShapeNetCore names its 55 class directories with (e.g.
-// "02691156"), so large-gallery tooling can mirror the real layout.
-func SynsetID(c Class) string { return fmt.Sprintf("%08d", 2000000+int(c)) }
