@@ -343,8 +343,7 @@ func BenchmarkQueryExtract(b *testing.B) {
 // BenchmarkObsOverhead measures the instrumentation tax on the warm
 // single-query classify path: the identical workload with the pipeline
 // metrics disabled (every record site is one atomic pointer load and a
-// branch) vs enabled (stage trace, ANN scan histograms, context-pool
-// counters). Both runs stay at 0 allocs/op; the ns/op delta is the
+// branch) vs enabled (stage trace, context-pool counters). Both runs stay at 0 allocs/op; the ns/op delta is the
 // overhead budget the observability work is held to (≤ 2%).
 func BenchmarkObsOverhead(b *testing.B) {
 	s := getBenchSuite(b)
@@ -620,38 +619,6 @@ func BenchmarkAblationKNNVote(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatcherANN compares the exact flat scan against the
-// IVF approximate index over one prepared gallery index — ORB over the
-// SNS1 gallery (the paper's FLANN remark: no gains at this data scale).
-// IVF quantizes binary rows only; float SIFT and SURF rows always take
-// the exact scan. The SNS2 query sets are extracted outside the timing,
-// so each iteration is pure GoodMatchCounts work over every query.
-func BenchmarkAblationMatcherANN(b *testing.B) {
-	s := getBenchSuite(b)
-	params := pipeline.DefaultDescriptorParams()
-	ix := s.GallerySNS1.DescriptorIndexFor(pipeline.ORB, params)
-	queries := make([]*features.Set, len(s.SNS2.Samples))
-	for i, q := range s.SNS2.Samples {
-		queries[i] = pipeline.ExtractDescriptors(q.Image, pipeline.ORB, params)
-	}
-	counts := make([]int32, ix.NumViews)
-	for _, bc := range []struct {
-		name string
-		mi   pipeline.MatchIndex
-	}{
-		{"flat", ix},
-		{"ivf", pipeline.NewIVFIndex(ix, pipeline.IVFParams{})},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					bc.mi.GoodMatchCounts(q, annRatio, counts)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationXCorrWindow sweeps the Normalized-X-Corr search
 // window width, trading inexactness for compute.
 func BenchmarkAblationXCorrWindow(b *testing.B) {
@@ -737,37 +704,21 @@ func ftoa(v float64) string {
 	return itoa(whole) + "." + itoa(frac)
 }
 
-// --- ANN matching benches (sub-linear index backends) ---
+// --- Flat matching benches ---
 
 // annBenchFixture is the shared large-gallery fixture of
 // BenchmarkANNRecall: a 440-view synthetic gallery (10 classes x 44
-// poses per model) at 128px (dense keypoints), unseen-pose queries of
-// the enrolled models, pre-extracted query sets, and the exact
-// flat-scan argmax per query as the recall reference. One model per
-// class keeps the novel-viewpoint task well-posed: every query has a
-// unique right answer rather than near-duplicate models competing for
-// it.
+// poses per model) at 128px (dense keypoints), and pre-extracted query
+// sets of unseen poses of the enrolled models.
 type annBenchFixture struct {
 	g       *pipeline.Gallery
 	queries map[pipeline.DescriptorKind][]*features.Set
-	exact   map[pipeline.DescriptorKind][]int
 }
 
 var (
 	annBenchOnce sync.Once
 	annBench     *annBenchFixture
 )
-
-// annArgmax mirrors classifyCounts' first-best selection.
-func annArgmax(counts []int32) int {
-	best, bestScore := -1, int32(-1)
-	for v, c := range counts {
-		if c > bestScore {
-			best, bestScore = v, c
-		}
-	}
-	return best
-}
 
 func getANNBench(b *testing.B) *annBenchFixture {
 	b.Helper()
@@ -781,21 +732,12 @@ func getANNBench(b *testing.B) *annBenchFixture {
 		)
 		g := pipeline.NewGalleryWorkers(dataset.BuildLargeAt(classes, views, size, seed), 0)
 		params := pipeline.DefaultDescriptorParams()
-		fx := &annBenchFixture{
-			g:       g,
-			queries: map[pipeline.DescriptorKind][]*features.Set{},
-			exact:   map[pipeline.DescriptorKind][]int{},
-		}
+		fx := &annBenchFixture{g: g, queries: map[pipeline.DescriptorKind][]*features.Set{}}
 		qs := dataset.BuildLargeQueriesAt(classes, perClass, size, seed)
 		for _, kind := range []pipeline.DescriptorKind{pipeline.ORB, pipeline.SIFT} {
 			g.PrepareDescriptorsWorkers(kind, params, 0)
-			ix := g.DescriptorIndexFor(kind, params)
-			counts := make([]int32, ix.NumViews)
 			for _, q := range qs.Samples {
-				set := pipeline.ExtractDescriptors(q.Image, kind, params)
-				fx.queries[kind] = append(fx.queries[kind], set)
-				ix.GoodMatchCounts(set, annRatio, counts)
-				fx.exact[kind] = append(fx.exact[kind], annArgmax(counts))
+				fx.queries[kind] = append(fx.queries[kind], pipeline.ExtractDescriptors(q.Image, kind, params))
 			}
 		}
 		annBench = fx
@@ -805,68 +747,33 @@ func getANNBench(b *testing.B) *annBenchFixture {
 
 const annRatio = 0.5
 
-// BenchmarkANNRecall is the recall-vs-speedup axis of the approximate
-// matching backend: per descriptor family it times pure matching
-// (query sets pre-extracted) through the flat scan over the same
-// 440-view gallery, and for binary families also through the
-// default-setting IVF backend, which reports its recall@1 against the
-// flat argmax plus its measured single-worker speedup. The flat
-// sub-benches are the baseline rows; flat/SIFT is the lane scan that
-// SIFT and SURF take under every index spec. ivf/ORB is reported as
-// measured and gates nothing.
+// BenchmarkANNRecall times pure matching (query sets pre-extracted)
+// through the exact flat scan over the 440-view gallery, per
+// descriptor family: flat/ORB is the binary Hamming lane scan and
+// flat/SIFT the float lane scan, which SURF takes too. The name and the
+// row names are kept from when an approximate backend ran beside them,
+// so the rows line up with BENCH_7.json and BENCH_8.json.
 //
-// Each timed iteration is a full pass over all queries, so ns/op (and
-// the flat-vs-ANN ratio) is stable at small -benchtime counts instead
-// of depending on which queries the iteration budget happened to
-// cover; the reported metric is normalized to per-query nanoseconds.
+// Each timed iteration is a full pass over all queries, so ns/op is
+// stable at small -benchtime counts instead of depending on which
+// queries the iteration budget happened to cover; the reported metric
+// is normalized to per-query nanoseconds.
 func BenchmarkANNRecall(b *testing.B) {
 	fx := getANNBench(b)
 	params := pipeline.DefaultDescriptorParams()
-
-	time1 := func(b *testing.B, mi pipeline.MatchIndex, kind pipeline.DescriptorKind) float64 {
-		queries := fx.queries[kind]
-		counts := make([]int32, mi.Flat().NumViews)
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				mi.GoodMatchCounts(q, annRatio, counts)
-			}
-		}
-		perQuery := float64(time.Since(start).Nanoseconds()) / float64(b.N*len(queries))
-		b.ReportMetric(perQuery, "ns/query")
-		return perQuery
-	}
-	recall := func(mi pipeline.MatchIndex, kind pipeline.DescriptorKind) float64 {
-		queries := fx.queries[kind]
-		counts := make([]int32, mi.Flat().NumViews)
-		agree := 0
-		for i, q := range queries {
-			mi.GoodMatchCounts(q, annRatio, counts)
-			if annArgmax(counts) == fx.exact[kind][i] {
-				agree++
-			}
-		}
-		return float64(agree) / float64(len(queries))
-	}
-
 	for _, kind := range []pipeline.DescriptorKind{pipeline.ORB, pipeline.SIFT} {
 		ix := fx.g.DescriptorIndexFor(kind, params)
-		var flatNs float64
 		b.Run("flat/"+kind.String(), func(b *testing.B) {
-			flatNs = time1(b, ix, kind)
-		})
-		if !ix.Binary {
-			continue
-		}
-		ann := pipeline.NewIVFIndex(ix, pipeline.IVFParams{})
-		rec := recall(ann, kind)
-		b.Run("ivf/"+kind.String(), func(b *testing.B) {
-			annNs := time1(b, ann, kind)
-			b.ReportMetric(rec, "recall")
-			if annNs > 0 && flatNs > 0 {
-				b.ReportMetric(flatNs/annNs, "speedup")
+			queries := fx.queries[kind]
+			counts := make([]int32, ix.NumViews)
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					ix.GoodMatchCounts(q, annRatio, counts)
+				}
 			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*len(queries)), "ns/query")
 		})
 	}
 }

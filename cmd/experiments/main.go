@@ -30,12 +30,7 @@ func main() {
 	outPath := flag.String("out", "", "also write the report to this file")
 	snapPath := flag.String("snapshot", "", "SNS1 gallery snapshot: load it when the file exists (skipping gallery prep), otherwise save the prepared gallery there after prewarm")
 	workers := cliutil.Workers(flag.CommandLine)
-	idxFlags := cliutil.RegisterIndexFlags(flag.CommandLine)
 	flag.Parse()
-	indexSpec, err := idxFlags.Resolve()
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var scale experiments.Scale
 	switch *scaleFlag {
@@ -89,12 +84,6 @@ func main() {
 	}
 	fmt.Fprintf(out, "building datasets...\n")
 	suite := experiments.NewSuiteWithGallery(scale, snapGallery)
-	if err := suite.GallerySNS1.SetIndexSpec(indexSpec); err != nil {
-		log.Fatal(err)
-	}
-	if indexSpec.Kind != pipeline.ExactKind {
-		fmt.Fprintf(out, "descriptor matching index: %s\n", indexSpec)
-	}
 
 	sectionStart := time.Now()
 	section := func(title string) {

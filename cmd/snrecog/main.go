@@ -56,7 +56,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   snrecog sheet -dir DIR [-size N] [-seed N]     render class sample sheets
   snrecog stats [-cap N]                         print Table 1 statistics
-  snrecog classify -class NAME [-pipeline P] [-mode shapenet|nyu] [-model N] [-view N] [-workers N] [-snapshot FILE] [-mmap] [-index exact|ivf]
+  snrecog classify -class NAME [-pipeline P] [-mode shapenet|nyu] [-model N] [-view N] [-workers N] [-snapshot FILE] [-mmap]
       pipelines: random, shape, color, hybrid, sift, surf, orb
   snrecog scene [-classes A,B,C] [-pipeline P] [-occlusion F] [-noise F] [-clutter N] [-seed N] [-out FILE] [-workers N]
       compose a multi-object scene and run detect-then-classify on it
@@ -243,13 +243,8 @@ func cmdClassify(args []string) {
 	snapPath := fs.String("snapshot", "", "gallery snapshot: load it when the file exists, otherwise build, prepare and save it")
 	mmap := fs.Bool("mmap", false, "memory-map the -snapshot file (v2, zero-copy) instead of decoding it")
 	workers := cliutil.Workers(fs)
-	idxFlags := cliutil.RegisterIndexFlags(fs)
 	fs.Parse(args)
 	w := cliutil.ResolveWorkers(*workers)
-	spec, err := idxFlags.Resolve()
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	cls, err := synth.ParseClass(*clsName)
 	if err != nil {
@@ -312,9 +307,6 @@ func cmdClassify(args []string) {
 		fmt.Println("building SNS1 gallery...")
 		gallery = pipeline.NewGalleryWorkers(dataset.BuildSNS1(cfg), w)
 	}
-	if err := gallery.SetIndexSpec(spec); err != nil {
-		log.Fatal(err)
-	}
 
 	query := synth.RenderView(cls, *model, *view, mode, synth.Params{Size: *size, Seed: *seed})
 	if prep, ok := p.(pipeline.Preparer); ok {
@@ -328,7 +320,7 @@ func cmdClassify(args []string) {
 	}
 	if d, ok := p.(*pipeline.Descriptor); ok {
 		nd, nv := gallery.IndexStats(d.Kind)
-		fmt.Printf("index:      %s over %d %s descriptors across %d views\n", spec, nd, d.Kind, nv)
+		fmt.Printf("index:      %d %s descriptors across %d views\n", nd, d.Kind, nv)
 	}
 	pred := p.Classify(query, gallery)
 	fmt.Printf("pipeline:   %s\n", p.Name())

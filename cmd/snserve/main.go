@@ -83,13 +83,8 @@ func main() {
 	faults := fs.String("faults", os.Getenv(fault.EnvVar),
 		"fault-injection spec, e.g. 'classify-admit:error:every=100'; points: snapshot-read, classify-admit, shard-scan, swap (default $"+fault.EnvVar+")")
 	workers := cliutil.Workers(fs)
-	idxFlags := cliutil.RegisterIndexFlags(fs)
 	flag.Parse()
 	w := cliutil.ResolveWorkers(*workers)
-	spec, err := idxFlags.Resolve()
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *faults != "" {
 		// Armed before any snapshot read, so boot-path faults (e.g.
 		// snapshot-read:error) fire too. Disarmed runs compile every
@@ -112,9 +107,6 @@ func main() {
 				log.Fatalf("map %s: %v", path, err)
 			}
 			snap := m.Snap
-			if err := snap.Gallery.SetIndexSpec(spec); err != nil {
-				log.Fatal(err)
-			}
 			if err := reg.AddMapped(snap.Name, pipeline.NewShardedGallery(snap.Gallery, *shards), snap.Meta, m); err != nil {
 				log.Fatal(err)
 			}
@@ -127,9 +119,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("load %s: %v", path, err)
 		}
-		if err := snap.Gallery.SetIndexSpec(spec); err != nil {
-			log.Fatal(err)
-		}
 		if err := reg.AddWithMeta(snap.Name, pipeline.NewShardedGallery(snap.Gallery, *shards), snap.Meta); err != nil {
 			log.Fatal(err)
 		}
@@ -139,9 +128,6 @@ func main() {
 	}
 	if *build != "" {
 		name, g := buildGallery(*build, *size, *seed, *descs, w)
-		if err := g.SetIndexSpec(spec); err != nil {
-			log.Fatal(err)
-		}
 		meta := snapshot.Meta{Dataset: name, Size: *size, Seed: *seed}
 		if err := reg.AddWithMeta(name, pipeline.NewShardedGallery(g, *shards), meta); err != nil {
 			log.Fatal(err)
@@ -184,8 +170,8 @@ func main() {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
-	log.Printf("serving %d galleries on %s (index=%s shards=%d inflight=%d)",
-		reg.Len(), *addr, spec, *shards, *maxInFlight)
+	log.Printf("serving %d galleries on %s (shards=%d inflight=%d)",
+		reg.Len(), *addr, *shards, *maxInFlight)
 
 	select {
 	case err := <-done:

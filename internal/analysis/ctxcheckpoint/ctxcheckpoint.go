@@ -9,9 +9,8 @@
 // pipeline: checkpoints sit at stage boundaries (classifyOn's ctx.Err
 // before extraction), at shard boundaries (ShardedIndex.scanSpan's
 // ctx.Err, reached from the parallel.ForEach closure), and once per
-// query descriptor, or once per view in the flat float scan, in the
-// scan kernels — the flat and IVF kernels take ctx, so their
-// outermost query or view loop must check it — while the per-row
+// view in the scan kernels — the flat float and binary kernels take
+// ctx, so their outermost view loop must check it — while the per-row
 // distance loops inside run straight-line. Accordingly the
 // analyzer checks only the outermost loop of each nest — once a loop
 // checkpoints, the loops inside it are its business — and treats

@@ -146,43 +146,6 @@ func SaveSnapshot(path string, meta snapshot.Meta, g *pipeline.Gallery) error {
 	return snapshot.Save(path, &snapshot.Snapshot{Name: meta.Dataset, Meta: meta, Gallery: g})
 }
 
-// IndexFlags is the destination of the shared matching-backend flags —
-// one value per knob, registered by RegisterIndexFlags and resolved to
-// a pipeline.IndexSpec by Resolve after fs.Parse.
-type IndexFlags struct {
-	Kind      *string
-	IVFNLists *int
-	IVFNProbe *int
-}
-
-// RegisterIndexFlags registers the matching-backend selection flags
-// shared by every binary that builds or serves galleries: -index picks
-// the backend, the rest tune it. Defaults mirror the library defaults
-// (exact scan; IVF auto nlists, nprobe 8).
-func RegisterIndexFlags(fs *flag.FlagSet) *IndexFlags {
-	return &IndexFlags{
-		Kind:      fs.String("index", "exact", "matching index backend: exact or ivf (ivf applies to ORB; SIFT and SURF always scan exact)"),
-		IVFNLists: fs.Int("ivf-nlists", 0, "ivf coarse list count (0 = auto ~2*sqrt(rows))"),
-		IVFNProbe: fs.Int("ivf-nprobe", 0, "ivf lists scanned per query descriptor (0 = default 8; >= nlists scans all = exact)"),
-	}
-}
-
-// Resolve validates the parsed flags into an IndexSpec.
-func (f *IndexFlags) Resolve() (pipeline.IndexSpec, error) {
-	kind, err := pipeline.ParseIndexKind(*f.Kind)
-	if err != nil {
-		return pipeline.IndexSpec{}, err
-	}
-	spec := pipeline.IndexSpec{
-		Kind: kind,
-		IVF:  pipeline.IVFParams{NLists: *f.IVFNLists, NProbe: *f.IVFNProbe},
-	}
-	if err := spec.Validate(); err != nil {
-		return pipeline.IndexSpec{}, err
-	}
-	return spec, nil
-}
-
 // ParseDescriptorKinds parses a comma-separated descriptor family list
 // ("sift,orb"); empty elements are skipped, unknown ones are an error.
 func ParseDescriptorKinds(s string) ([]pipeline.DescriptorKind, error) {

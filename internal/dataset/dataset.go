@@ -143,8 +143,8 @@ func BuildNYU(cfg Config) *Set {
 
 // BuildLarge wraps synth.LargeGallery as a Set: a scaled synthetic
 // reference gallery of classes x viewsPerClass clean views, one model
-// per synthetic class, for ANN benchmarks that need realistic gallery
-// sizes. Classes beyond the Table 1 ten are valid here (they reuse the
+// per synthetic class, for matching benchmarks that need realistic
+// gallery sizes. Classes beyond the Table 1 ten are valid here (they reuse the
 // base drawing families with distinct models); such sets classify and
 // index normally but fall outside the fixed Table 1 tallies.
 func BuildLarge(classes, viewsPerClass int, seed uint64) *Set {

@@ -22,18 +22,17 @@ type Keypoint struct {
 }
 
 // Packed is the flat, matcher-friendly layout of a descriptor set: float
-// descriptors live in one contiguous row-major matrix with precomputed
-// squared norms, binary descriptors as word-packed rows so Hamming
-// distance runs on 64-bit popcounts instead of per-byte lookups. It is
-// built once (at extraction time, or explicitly via Set.Pack) and read
-// concurrently afterwards.
+// descriptors live in one contiguous row-major matrix, binary
+// descriptors as word-packed rows so Hamming distance runs on 64-bit
+// popcounts instead of per-byte lookups. It is built once (at
+// extraction time, or explicitly via Set.Pack) and read concurrently
+// afterwards.
 type Packed struct {
 	N   int // number of descriptors (rows)
 	Dim int // float components per row (0 for binary sets)
 
 	// Float layout: row i occupies Floats[i*Dim : (i+1)*Dim].
 	Floats []float32
-	Norms  []float32 // squared L2 norm per row
 
 	// Binary layout: row i occupies Words[i*WordsPerRow : (i+1)*WordsPerRow],
 	// little-endian packed from the byte descriptor and zero-padded, so
@@ -45,7 +44,7 @@ type Packed struct {
 	RowBytes    int
 	Words       []uint64
 
-	// Borrowed marks Floats/Norms/Words as aliases of storage the set
+	// Borrowed marks Floats/Words as aliases of storage the set
 	// does not own — a memory-mapped snapshot blob. Borrowed storage is
 	// read-only and must never be recycled through an arena or pool, and
 	// it dies with its mapping, not with the set; PackIn is already a
@@ -107,10 +106,8 @@ func (s *Set) PackIn(a *arena.Arena) *Set {
 	} else if len(s.Float) > 0 {
 		p.Dim = len(s.Float[0])
 		p.Floats = arena.Slice[float32](a, p.N*p.Dim)
-		p.Norms = arena.Slice[float32](a, p.N)
 		for i, row := range s.Float {
 			copy(p.Floats[i*p.Dim:], row)
-			p.Norms[i] = L2Squared(row, nil)
 		}
 	}
 	s.Packed = p

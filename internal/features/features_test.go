@@ -85,9 +85,6 @@ func TestPackFloat(t *testing.T) {
 				t.Errorf("row %d col %d: %v != %v", i, j, got[j], row[j])
 			}
 		}
-		if want := L2Squared(row, nil); p.Norms[i] != want {
-			t.Errorf("norm %d = %v, want %v", i, p.Norms[i], want)
-		}
 	}
 	// Idempotent.
 	before := s.Packed

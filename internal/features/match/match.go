@@ -1,5 +1,6 @@
 // Package match implements descriptor matching: brute-force kNN with L2
-// or Hamming distance, Lowe's ratio test and cross-checking.
+// or Hamming distance and Lowe's ratio test. It is the reference matcher
+// the flat descriptor index is tested against.
 //
 // The brute-force kernels are allocation-free in steady state: distances
 // are compared in the squared (L2) or integer (Hamming) domain with the
@@ -239,22 +240,6 @@ func RatioTest(knn [][]Match, ratio float64) []Match {
 		}
 		if float64(ms[0].Distance) < ratio*float64(ms[1].Distance) {
 			out = append(out, ms[0])
-		}
-	}
-	return out
-}
-
-// CrossCheck keeps matches (q, t) from ab for which ba maps t back to q,
-// emulating OpenCV's BFMatcher crossCheck mode.
-func CrossCheck(ab, ba []Match) []Match {
-	back := make(map[int]int, len(ba))
-	for _, m := range ba {
-		back[m.QueryIdx] = m.TrainIdx
-	}
-	var out []Match
-	for _, m := range ab {
-		if q, ok := back[m.TrainIdx]; ok && q == m.QueryIdx {
-			out = append(out, m)
 		}
 	}
 	return out

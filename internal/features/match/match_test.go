@@ -99,15 +99,6 @@ func TestRatioTest(t *testing.T) {
 	}
 }
 
-func TestCrossCheck(t *testing.T) {
-	ab := []Match{{QueryIdx: 0, TrainIdx: 1}, {QueryIdx: 1, TrainIdx: 0}}
-	ba := []Match{{QueryIdx: 1, TrainIdx: 0}, {QueryIdx: 0, TrainIdx: 5}}
-	got := CrossCheck(ab, ba)
-	if len(got) != 1 || got[0].QueryIdx != 0 || got[0].TrainIdx != 1 {
-		t.Errorf("cross check = %v", got)
-	}
-}
-
 func TestGoodMatchCountSelfMatch(t *testing.T) {
 	r := rng.New(5)
 	var descs [][]float32

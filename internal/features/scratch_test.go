@@ -39,11 +39,6 @@ func TestScratchFloatSetMatchesFresh(t *testing.T) {
 				t.Fatalf("round %d: packed float %d differs", round, i)
 			}
 		}
-		for i := range fresh.Packed.Norms {
-			if math.Float32bits(fresh.Packed.Norms[i]) != math.Float32bits(pooled.Packed.Norms[i]) {
-				t.Fatalf("round %d: packed norm %d differs", round, i)
-			}
-		}
 		sc.A.Reset()
 	}
 }

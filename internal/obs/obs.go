@@ -68,6 +68,7 @@ type Gauge struct {
 }
 
 // Set replaces the value.
+//
 //snmatch:noalloc
 func (g *Gauge) Set(n int64) {
 	if g != nil {
@@ -76,6 +77,7 @@ func (g *Gauge) Set(n int64) {
 }
 
 // Add moves the value by delta (negative deltas decrease it).
+//
 //snmatch:noalloc
 func (g *Gauge) Add(delta int64) {
 	if g != nil {

@@ -349,7 +349,7 @@ func TestTrace(t *testing.T) {
 	if len(StageNames()) != NumStages {
 		t.Errorf("StageNames length %d != NumStages %d", len(StageNames()), NumStages)
 	}
-	if StageVerify.String() != "verify" || Stage(200).String() != "unknown" {
+	if StageMatch.String() != "match" || Stage(200).String() != "unknown" {
 		t.Error("Stage.String wrong")
 	}
 }

@@ -27,22 +27,17 @@ const (
 	// StageExtract is descriptor extraction (decoded image -> packed
 	// query set).
 	StageExtract
-	// StageMatch is the index scan: the flat kernel, or an approximate
-	// backend's probe phase. On a sharded gallery the shard scans run
-	// concurrently and each adds its own elapsed time, so this stage
-	// reads as scan CPU time, not wall time.
+	// StageMatch is the index scan. On a sharded gallery the shard
+	// scans run concurrently and each adds its own elapsed time, so
+	// this stage reads as scan CPU time, not wall time.
 	StageMatch
-	// StageVerify is the approximate backends' exact re-scoring of the
-	// shortlisted views (zero on the exact backend); CPU time across
-	// shards, like StageMatch.
-	StageVerify
 
 	// NumStages bounds the Stage values.
 	NumStages = iota
 )
 
 var stageNames = [NumStages]string{
-	"decode", "admission", "propose", "queue", "classify", "extract", "match", "verify",
+	"decode", "admission", "propose", "queue", "classify", "extract", "match",
 }
 
 // String returns the stage's wire name (the stages_ms key and the

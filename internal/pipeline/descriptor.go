@@ -12,13 +12,12 @@ import (
 )
 
 // QueryStats carries per-query serving timings alongside a Prediction.
-// Match and Verify are populated only while pipeline instrumentation is
-// on (EnableObs); on a sharded gallery they are CPU time summed across
-// the shard workers, not wall time.
+// Match is populated only while pipeline instrumentation is on
+// (EnableObs); on a sharded gallery it is CPU time summed across the
+// shard workers, not wall time.
 type QueryStats struct {
 	Extract time.Duration // descriptor extraction (PNG-decoded image -> packed query set)
-	Match   time.Duration // index scan / approximate probe
-	Verify  time.Duration // approximate backends' exact shortlist re-scoring
+	Match   time.Duration // index scan
 }
 
 // Descriptor is the §3.3 pipeline: extract SIFT, SURF or ORB features
@@ -125,15 +124,14 @@ func (p *Descriptor) putCtx(c *ExtractCtx) {
 // serving (ShardedGallery.ClassifyStatsCtx) paths so the checkout
 // discipline cannot drift between them.
 // The stage trace rides the pooled context (never a fresh heap object):
-// with instrumentation on, extraction and the scan's match/verify split
-// land in ctx.Trace and surface through QueryStats; with it off the
-// backends get a nil trace and skip their clocks entirely.
+// with instrumentation on, extraction and scan times land in ctx.Trace
+// and surface through QueryStats; with it off the scan gets a nil
+// trace and skips its clock entirely.
 //
 // ctx is the request deadline: cancellation checkpoints sit before
-// extraction and inside the scan (once per query descriptor or, in the
-// flat float scan, once per view, and — on a sharded index — before
-// every shard's scan), so an expired request
-// stops burning CPU at the next checkpoint instead of running to
+// extraction and inside the scan (once per view, and — on a sharded
+// index — before every shard's scan), so an expired request stops
+// burning CPU at the next checkpoint instead of running to
 // completion. The returned error is the context's; a non-nil error
 // means the prediction was not computed. Every checkpoint is a plain
 // ctx.Err() call, so the warm path stays allocation-free.
@@ -153,18 +151,16 @@ func (p *Descriptor) classifyOn(ctx context.Context, img *imaging.Image, g *Gall
 	tr.Set(obs.StageExtract, stats.Extract)
 	pred, err := classifyCounts(ctx, g, mi, q, p.Ratio, tr)
 	stats.Match = tr.Get(obs.StageMatch)
-	stats.Verify = tr.Get(obs.StageVerify)
 	p.putCtx(c)
 	return pred, stats, err
 }
 
 // Classify implements Pipeline. The per-view good-match counts come
-// from one scan of the matching backend the gallery's IndexSpec selects
-// (flat by default); the count scratch always pools on the flat index,
-// so steady-state matching allocates nothing per query and backend
-// swaps don't change that. An unprepared gallery builds its index on
-// first use through the mutex-guarded cache, so concurrent Classify
-// calls against a shared gallery are safe. Results are identical to
+// from one scan of the gallery's flat index, whose count scratch is
+// pooled, so steady-state matching allocates nothing per query. An
+// unprepared gallery builds its index on first use through the
+// mutex-guarded cache, so concurrent Classify calls against a shared
+// gallery are safe. Results are identical to
 // brute-force per-view matching (classifyPerView).
 func (p *Descriptor) Classify(img *imaging.Image, g *Gallery) Prediction {
 	pred, _, _ := p.classifyOn(context.Background(), img, g, g.MatchIndexFor(p.Kind, p.Params))

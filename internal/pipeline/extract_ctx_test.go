@@ -67,11 +67,6 @@ func setsBitIdentical(t *testing.T, label string, fresh, pooled *features.Set) {
 			t.Fatalf("%s: packed float %d differs", label, i)
 		}
 	}
-	for i := range fp.Norms {
-		if math.Float32bits(fp.Norms[i]) != math.Float32bits(pp.Norms[i]) {
-			t.Fatalf("%s: packed norm %d differs", label, i)
-		}
-	}
 	for i := range fp.Words {
 		if fp.Words[i] != pp.Words[i] {
 			t.Fatalf("%s: packed word %d differs", label, i)
@@ -209,32 +204,6 @@ func TestQueryPathAllocs(t *testing.T) {
 			}
 		})
 	}
-
-	// The traced approximate path — IVF probe, shortlist bookkeeping,
-	// exact verification, all with instrumentation on — must hold the
-	// gate too. The 12-view ORB gallery trains more lists than the
-	// default nprobe, so the probe-and-verify path runs.
-	t.Run("classify/obs=on/ivf", func(t *testing.T) {
-		EnableObs(obs.NewRegistry())
-		defer DisableObs()
-		g := NewGallery(&dataset.Set{Name: "ivf-alloc", Samples: sns1.Samples[:12]})
-		if err := g.SetIndexSpec(IndexSpec{Kind: IVFKind}); err != nil {
-			t.Fatal(err)
-		}
-		p := NewDescriptor(ORB, 0.5)
-		p.Prepare(g, 1)
-		if iv, ok := g.MatchIndexFor(ORB, p.Params).(*IVFIndex); !ok || iv.full {
-			t.Fatal("fixture does not exercise the IVF probe path")
-		}
-		for i := 0; i < 3; i++ {
-			p.Classify(img, g)
-		}
-		if n := testing.AllocsPerRun(20, func() {
-			p.Classify(img, g)
-		}); n != 0 {
-			t.Errorf("warm traced IVF Classify allocates %.1f times per query, want 0", n)
-		}
-	})
 
 	// The contour/histogram pipelines run on the shared prep-context
 	// pool: preprocessing planes, border tracing, the crop, the query

@@ -67,10 +67,8 @@ type View struct {
 type Gallery struct {
 	Views []View
 
-	mu   sync.RWMutex // guards lazy Desc/idx/ann writes during concurrent Classify
-	idx  map[DescriptorKind]*DescriptorIndex
-	spec IndexSpec
-	ann  map[DescriptorKind]MatchIndex
+	mu  sync.RWMutex // guards lazy Desc/idx writes during concurrent Classify
+	idx map[DescriptorKind]*DescriptorIndex
 }
 
 // NewGallery preprocesses every sample of the reference set (§3.2
@@ -89,7 +87,6 @@ func NewGalleryWorkers(s *dataset.Set, workers int) *Gallery {
 	g := &Gallery{
 		Views: make([]View, s.Len()),
 		idx:   map[DescriptorKind]*DescriptorIndex{},
-		ann:   map[DescriptorKind]MatchIndex{},
 	}
 	parallel.ForEachChunk(workers, s.Len(), func(_ int, sp parallel.Span) {
 		a := arena.New()
@@ -192,61 +189,10 @@ func (g *Gallery) DescriptorIndexFor(kind DescriptorKind, p DescriptorParams) *D
 	return g.descriptorIndex(kind, p)
 }
 
-// SetIndexSpec selects the matching backend built over this gallery's
-// flat indexes. It drops any previously built approximate indexes, so a
-// spec change takes effect on the next query. Snapshots persist only the
-// flat indexes; restore paths re-apply the spec and the backend is
-// rebuilt deterministically from the restored rows.
-func (g *Gallery) SetIndexSpec(spec IndexSpec) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	g.mu.Lock()
-	g.spec = spec
-	g.ann = map[DescriptorKind]MatchIndex{}
-	g.mu.Unlock()
-	return nil
-}
-
-// IndexSpec returns the gallery's configured matching backend spec.
-func (g *Gallery) IndexSpec() IndexSpec {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.spec
-}
-
-// MatchIndexFor returns the matching engine for the kind under the
-// gallery's IndexSpec: the flat index itself for ExactKind, for an
-// empty index and for float rows (SIFT, SURF) under any spec, the
-// cached IVF backend over binary rows otherwise. Like the flat cache
-// it is safe under concurrent Classify traffic — the build is a pure
-// function of the flat index and the spec, so racing builders agree
-// and the first store wins. A cached backend is discarded when the
-// flat index it wraps is no longer the gallery's current one.
+// MatchIndexFor returns the matching engine for the kind: the
+// gallery's flat index, built (and cached) on first use.
 func (g *Gallery) MatchIndexFor(kind DescriptorKind, p DescriptorParams) MatchIndex {
-	flat := g.descriptorIndex(kind, p)
-	g.mu.RLock()
-	spec := g.spec
-	mi := g.ann[kind]
-	g.mu.RUnlock()
-	if spec.Kind == ExactKind {
-		return flat
-	}
-	if mi != nil && mi.Flat() == flat {
-		return mi
-	}
-	mi = buildMatchIndex(flat, spec)
-	g.mu.Lock()
-	if cur := g.ann[kind]; cur != nil && cur.Flat() == flat && g.spec == spec {
-		mi = cur
-	} else if g.spec == spec {
-		if g.ann == nil {
-			g.ann = map[DescriptorKind]MatchIndex{}
-		}
-		g.ann[kind] = mi
-	}
-	g.mu.Unlock()
-	return mi
+	return g.descriptorIndex(kind, p)
 }
 
 // Indexes returns the descriptor indexes built so far, keyed by kind —
@@ -272,7 +218,6 @@ func RestoreGallery(views []View, idx map[DescriptorKind]*DescriptorIndex) *Gall
 	g := &Gallery{
 		Views: views,
 		idx:   map[DescriptorKind]*DescriptorIndex{},
-		ann:   map[DescriptorKind]MatchIndex{},
 	}
 	for i := range g.Views {
 		if g.Views[i].Desc == nil {

@@ -23,7 +23,7 @@ import (
 // taken only for the two winners per (query descriptor, view) pair.
 //
 // The index is immutable once built; Classify-side scratch (the
-// per-view count buffer and the transposed query of the float scan)
+// per-view count buffer and the transposed query of either scan)
 // comes from internal sync.Pools so steady state matching allocates
 // nothing per query.
 type DescriptorIndex struct {
@@ -41,8 +41,9 @@ type DescriptorIndex struct {
 	WordsPerRow int
 	Words       []uint64
 
-	counts sync.Pool // *[]int32 scratch, one per concurrent classifier
-	lanes  sync.Pool // *[]float32 transposed-query scratch of the float scan
+	counts    sync.Pool // *[]int32 scratch, one per concurrent classifier
+	lanes     sync.Pool // *[]float32 transposed-query scratch of the float scan
+	wordLanes sync.Pool // *[]uint64 transposed-query scratch of the binary scan
 }
 
 // NewDescriptorIndex concatenates the views' descriptor sets (all of
@@ -190,9 +191,6 @@ func (ix *DescriptorIndex) Len() int { return ix.Starts[ix.NumViews] }
 // Flat implements MatchIndex: the flat index is its own exact storage.
 func (ix *DescriptorIndex) Flat() *DescriptorIndex { return ix }
 
-// IndexKind implements MatchIndex.
-func (ix *DescriptorIndex) IndexKind() IndexKind { return ExactKind }
-
 // getCounts borrows a per-view count buffer from the pool. Contents
 // are unspecified — Scan zeroes its output range itself.
 func (ix *DescriptorIndex) getCounts() *[]int32 {
@@ -206,19 +204,18 @@ func (ix *DescriptorIndex) getCounts() *[]int32 {
 // putCounts returns a buffer to the pool.
 func (ix *DescriptorIndex) putCounts(s *[]int32) { ix.counts.Put(s) }
 
-// getLanes borrows a transposed-query buffer of n floats from the
-// pool, growing it when a larger query arrives. Contents are
-// unspecified.
-func (ix *DescriptorIndex) getLanes(n int) *[]float32 {
-	p, _ := ix.lanes.Get().(*[]float32)
-	if p == nil {
-		p = new([]float32)
+// getScratch borrows a slice of n values from pool p, growing it when
+// a larger query arrives. Contents are unspecified.
+func getScratch[T any](p *sync.Pool, n int) *[]T {
+	s, _ := p.Get().(*[]T)
+	if s == nil {
+		s = new([]T)
 	}
-	if cap(*p) < n {
-		*p = make([]float32, n)
+	if cap(*s) < n {
+		*s = make([]T, n)
 	}
-	*p = (*p)[:n]
-	return p
+	*s = (*s)[:n]
+	return s
 }
 
 // GoodMatchCounts implements MatchIndex: the full-range, untraced
@@ -233,8 +230,7 @@ func (ix *DescriptorIndex) GoodMatchCounts(query *features.Set, ratio float64, c
 // Scan implements MatchIndex: for every view in [v0, v1), the number of
 // query descriptors whose within-view 2-NN pass Lowe's ratio test —
 // exactly match.GoodMatchCount(query, view, ratio) per view, computed
-// in one pass over the flat matrix. The exact scan has no
-// probe/verify split, so the whole scan books as match time.
+// in one pass over the flat matrix. The whole scan books as match time.
 // Concurrent callers must pass a query whose Packed mirror is already
 // built (extractors do; hand-assembled sets need Set.Pack).
 //
@@ -249,9 +245,8 @@ func (ix *DescriptorIndex) Scan(ctx context.Context, query *features.Set, ratio 
 	return err
 }
 
-// scan is the exact kernel behind Scan and IVF's shortlist
-// verification: it overwrites counts[v0:v1] and dispatches on the row
-// representation.
+// scan is Scan's untraced body: it overwrites counts[v0:v1] and
+// dispatches on the row representation.
 func (ix *DescriptorIndex) scan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int) error {
 	clear(counts[v0:v1])
 	if query.Len() == 0 || ix.Len() == 0 {
@@ -278,7 +273,7 @@ func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed,
 	}
 	dim := ix.Dim
 	block := simd.Lanes * dim
-	lp := ix.getLanes(simd.LaneBlocks(qp.N) * block)
+	lp := getScratch[float32](&ix.lanes, simd.LaneBlocks(qp.N)*block)
 	defer ix.lanes.Put(lp)
 	qt := *lp
 	simd.TransposeLanes(qt, qp.Floats[:qp.N*dim], dim)
@@ -303,39 +298,43 @@ func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed,
 	return nil
 }
 
+// binaryCounts is the Hamming kernel, laid out like floatCounts: the
+// query rows are transposed into simd.HammingLanes-wide blocks and
+// each block meets a view's rows in one simd.HammingLane2NN call. The
+// deadline is checked once per view.
 func (ix *DescriptorIndex) binaryCounts(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
 	if qp.WordsPerRow != ix.WordsPerRow {
 		panic("pipeline: query descriptor width does not match index")
 	}
 	wpr := ix.WordsPerRow
-	for qi := 0; qi < qp.N; qi++ {
+	if wpr == 0 {
+		return nil // zero-width rows: every distance is 0, which never passes the strict ratio test
+	}
+	block := simd.HammingLanes * wpr
+	wp := getScratch[uint64](&ix.wordLanes, simd.HammingBlocks(qp.N)*block)
+	defer ix.wordLanes.Put(wp)
+	qt := *wp
+	simd.TransposeHammingLanes(qt, qp.Words[:qp.N*wpr], wpr)
+	for v := v0; v < v1; v++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		q := qp.WordRow(qi)
-		for v := v0; v < v1; v++ {
-			start, end := ix.Starts[v], ix.Starts[v+1]
-			if end-start < 2 {
-				continue
-			}
-			s1, s2 := math.MaxInt, math.MaxInt
-			for ti := start; ti < end; ti++ {
-				d := features.HammingWords(q, ix.Words[ti*wpr:(ti+1)*wpr])
-				if d < s1 {
-					s2, s1 = s1, d
-				} else if d < s2 {
-					s2 = d
+		start, end := ix.Starts[v], ix.Starts[v+1]
+		if end-start < 2 {
+			continue
+		}
+		rows := ix.Words[start*wpr : end*wpr]
+		for b := 0; b*simd.HammingLanes < qp.N; b++ {
+			s1, s2 := simd.HammingLane2NN(qt[b*block:(b+1)*block], rows, wpr)
+			for l := range min(simd.HammingLanes, qp.N-b*simd.HammingLanes) {
+				if float64(float32(s1[l])) < ratio*float64(float32(s2[l])) {
+					counts[v]++
 				}
-			}
-			if float64(float32(s1)) < ratio*float64(float32(s2)) {
-				counts[v]++
 			}
 		}
 	}
 	return nil
 }
-
-var inf32 = float32(math.Inf(1))
 
 func sqrt32(v float32) float32 {
 	if v <= 0 {

@@ -22,7 +22,7 @@ func concatSets(rng *rand.Rand, n, dim int, binary bool) ([]*features.Set, []flo
 		total += counts[i]
 	}
 	wpr := (dim + 7) / 8
-	var floats, norms []float32
+	var floats []float32
 	var words []uint64
 	if binary {
 		words = make([]uint64, total*wpr)
@@ -33,10 +33,6 @@ func concatSets(rng *rand.Rand, n, dim int, binary bool) ([]*features.Set, []flo
 		floats = make([]float32, total*dim)
 		for i := range floats {
 			floats[i] = rng.Float32()*2 - 1
-		}
-		norms = make([]float32, total)
-		for i := 0; i < total; i++ {
-			norms[i] = features.L2Squared(floats[i*dim:(i+1)*dim], nil)
 		}
 	}
 	sets := make([]*features.Set, n)
@@ -55,7 +51,6 @@ func concatSets(rng *rand.Rand, n, dim int, binary bool) ([]*features.Set, []flo
 		} else if c > 0 {
 			p.Dim = dim
 			p.Floats = floats[off*dim : (off+c)*dim]
-			p.Norms = norms[off : off+c]
 		}
 		sets[i] = features.RestoreSet(kps, p)
 		off += c

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -172,6 +174,14 @@ func TestDescriptorIndexEmptyCases(t *testing.T) {
 	if counts[0] != 0 {
 		t.Errorf("empty query counted: %v", counts)
 	}
+	// Zero-width binary rows: every distance is 0, so nothing passes.
+	zero := randBinarySet(r, 3, 0)
+	ix = NewDescriptorIndex([]*features.Set{zero})
+	counts[0] = 9
+	ix.GoodMatchCounts(randBinarySet(r, 5, 0), 1.0, counts)
+	if counts[0] != 0 {
+		t.Errorf("zero-width binary rows counted: %v", counts)
+	}
 }
 
 func TestDescriptorIndexCountsAllocationFree(t *testing.T) {
@@ -198,7 +208,12 @@ func TestDescriptorIndexCountsAllocationFree(t *testing.T) {
 }
 
 // TestClassifyFlatMatchesPerView pins the flat-index Classify to the
-// legacy per-view brute-force path for all three descriptor families.
+// legacy per-view brute-force path for all three descriptor families,
+// then pins the binary scan's counts to match.GoodMatchCount at ORB's
+// 32-byte width, the one the assembly kernel runs: rows drawn from a
+// vocabulary of 2 to 10 rows, so duplicates and equal distances occur,
+// 0 to 9 query rows, which leave partial 4-lane blocks, and views of
+// 0, 1 and 2 rows among larger ones.
 func TestClassifyFlatMatchesPerView(t *testing.T) {
 	small := NewGallery(&dataset.Set{Name: "small", Samples: sns1.Samples[:12]})
 	queries := sns2.Samples[:6]
@@ -209,6 +224,34 @@ func TestClassifyFlatMatchesPerView(t *testing.T) {
 			got := p.Classify(q.Image, small)
 			if want != got {
 				t.Errorf("%s: flat %+v != per-view %+v", kind, got, want)
+			}
+		}
+	}
+
+	r := rng.New(29)
+	for trial := 0; trial < 40; trial++ {
+		vocab := randBinarySet(r, 2+r.Intn(9), 32).Binary
+		draw := func(n int) *features.Set {
+			s := &features.Set{}
+			for i := 0; i < n; i++ {
+				s.Binary = append(s.Binary, vocab[r.Intn(len(vocab))])
+				s.Keypoints = append(s.Keypoints, features.Keypoint{})
+			}
+			return s
+		}
+		sets := []*features.Set{draw(0), draw(1), draw(2)}
+		for v := r.Intn(6); v > 0; v-- {
+			sets = append(sets, draw(r.Intn(12)))
+		}
+		query := draw(trial % 10)
+		ix := NewDescriptorIndex(sets)
+		counts := make([]int32, len(sets))
+		for _, ratio := range []float64{0.5, 0.75, 1.0} {
+			ix.GoodMatchCounts(query, ratio, counts)
+			for v, s := range sets {
+				if want := int32(match.GoodMatchCount(query, s, ratio)); counts[v] != want {
+					t.Fatalf("trial %d view %d ratio %v: flat %d != reference %d", trial, v, ratio, counts[v], want)
+				}
 			}
 		}
 	}
@@ -258,5 +301,114 @@ func TestDescriptorScratchPoolUnderConcurrency(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// expiringCtx is a context whose Err turns non-nil after `live` calls:
+// a deadline that expires partway through a scan.
+type expiringCtx struct {
+	context.Context
+	live, calls int
+}
+
+func (c *expiringCtx) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestScanHonoursDeadlineMidQuery pins the in-scan checkpoints: both
+// flat kernels check ctx once per view, so a deadline that expires
+// partway through a scan stops it with that error before its last
+// checkpoint.
+func TestScanHonoursDeadlineMidQuery(t *testing.T) {
+	r := rng.New(5)
+	floatSets := make([]*features.Set, 6)
+	binSets := make([]*features.Set, 6)
+	for v := range floatSets {
+		floatSets[v] = randFloatSet(r, 8, 6, 12)
+		binSets[v] = randBinarySet(r, 8, 32)
+	}
+	const nq = 8
+	for _, tc := range []struct {
+		name  string
+		mi    MatchIndex
+		query *features.Set
+	}{
+		{"flat/float", NewDescriptorIndex(floatSets), randFloatSet(r, nq, 6, 12)},
+		{"flat/binary", NewDescriptorIndex(binSets), randBinarySet(r, nq, 32)},
+	} {
+		const views = 6 // one checkpoint per view in an uninterrupted scan
+		ctx := &expiringCtx{Context: context.Background(), live: 3}
+		counts := make([]int32, views)
+		err := tc.mi.Scan(ctx, tc.query, 0.8, counts, 0, views, nil)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: Scan returned %v, want the context's error", tc.name, err)
+		}
+		if ctx.calls != ctx.live+1 {
+			t.Fatalf("%s: %d ctx checks, want %d: one per view until the deadline", tc.name, ctx.calls, ctx.live+1)
+		}
+		ctx = &expiringCtx{Context: context.Background(), live: views}
+		if err := tc.mi.Scan(ctx, tc.query, 0.8, counts, 0, views, nil); err != nil || ctx.calls != views {
+			t.Fatalf("%s: uninterrupted scan returned %v after %d ctx checks, want nil after %d", tc.name, err, ctx.calls, views)
+		}
+	}
+}
+
+// TestMixedRepresentationQueryPanics pins the flat scan's error
+// contract for a query of the other representation.
+func TestMixedRepresentationQueryPanics(t *testing.T) {
+	r := rng.New(23)
+	for _, tc := range []struct {
+		name  string
+		ix    *DescriptorIndex
+		query *features.Set
+	}{
+		{"binary-index/float-query", NewDescriptorIndex([]*features.Set{randBinarySet(r, 4, 32), randBinarySet(r, 4, 32)}), randFloatSet(r, 3, 6, 8)},
+		{"float-index/binary-query", NewDescriptorIndex([]*features.Set{randFloatSet(r, 4, 6, 8), randFloatSet(r, 4, 6, 8)}), randBinarySet(r, 3, 32)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: mixed representation did not panic", tc.name)
+				}
+			}()
+			tc.ix.GoodMatchCounts(tc.query, 0.8, make([]int32, 2))
+		}()
+	}
+}
+
+// TestLargeGalleryShape pins the scaled-taxonomy helper: deterministic,
+// class-distinct, and sized classes x viewsPerClass.
+func TestLargeGalleryShape(t *testing.T) {
+	a := dataset.BuildLarge(13, 4, 5)
+	b := dataset.BuildLarge(13, 4, 5)
+	if a.Len() != 13*4 || b.Len() != a.Len() {
+		t.Fatalf("size %d != %d", a.Len(), 13*4)
+	}
+	for i := range a.Samples {
+		sa, sb := a.Samples[i], b.Samples[i]
+		if sa.Class != sb.Class || sa.Model != sb.Model || sa.View != sb.View {
+			t.Fatalf("sample %d metadata not deterministic", i)
+		}
+		ia, ib := sa.Image, sb.Image
+		if ia.W != ib.W || ia.H != ib.H {
+			t.Fatalf("sample %d image shape not deterministic", i)
+		}
+		for j := range ia.Pix {
+			if ia.Pix[j] != ib.Pix[j] {
+				t.Fatalf("sample %d pixels not deterministic", i)
+			}
+		}
+	}
+	// Classes beyond the Table 1 ten stay representable and countable.
+	if c := a.Samples[a.Len()-1].Class; int(c) != 12 {
+		t.Fatalf("last class = %d", int(c))
+	}
+	_ = a.CountByClass() // must not panic on classes >= NumClasses
+	if dataset.BuildLarge(0, 4, 5).Len() != 0 {
+		t.Fatal("zero classes must yield an empty set")
 	}
 }

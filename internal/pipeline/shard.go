@@ -18,8 +18,7 @@ import (
 // shard with exactly the arithmetic of the unsharded scan, and every
 // shard writes a disjoint range of the shared per-view count buffer —
 // so sharded results are bit identical to the unsharded index at every
-// shard count. This holds for any MatchIndex backend, exact or
-// approximate: Scan's contract is per-view results independent of the
+// shard count: Scan's contract is per-view results independent of the
 // [v0, v1) split.
 //
 // Shard boundaries are balanced by descriptor rows (the scan cost), not
@@ -77,9 +76,6 @@ func NewShardedIndex(mi MatchIndex, shards int) *ShardedIndex {
 // Flat implements MatchIndex.
 func (sx *ShardedIndex) Flat() *DescriptorIndex { return sx.mi.Flat() }
 
-// IndexKind implements MatchIndex: the wrapped backend's kind.
-func (sx *ShardedIndex) IndexKind() IndexKind { return sx.mi.IndexKind() }
-
 // Spans returns a copy of the shard view ranges.
 func (sx *ShardedIndex) Spans() []parallel.Span {
 	out := make([]parallel.Span, len(sx.spans))
@@ -98,9 +94,9 @@ func (sx *ShardedIndex) GoodMatchCounts(query *features.Set, ratio float64, coun
 
 // Scan implements MatchIndex by scanning the shards' intersections with
 // [v0, v1) concurrently on the worker pool (one worker per shard).
-// Every worker adds its own elapsed match/verify time into the shared
-// trace, so on a multi-shard scan those stages read as CPU time summed
-// across workers, not wall time. A single-span index scans inline,
+// Every worker adds its own elapsed match time into the shared trace,
+// so on a multi-shard scan that stage reads as CPU time summed across
+// workers, not wall time. A single-span index scans inline,
 // without the fan-out closure, so it stays allocation-free.
 //
 //snmatch:noalloc
@@ -158,22 +154,20 @@ func NewShardedGallery(g *Gallery, shards int) *ShardedGallery {
 }
 
 // ShardedIndexFor returns the sharded view of the gallery's matching
-// index for the given kind — the backend the gallery's IndexSpec
-// selects — building (and caching) both on first use. Like the flat
-// index cache it is safe under concurrent Classify traffic: the split
-// is a pure function of the index, so racing builders agree. A cached
-// shard set is rebuilt when the gallery's backend has changed under it
-// (SetIndexSpec after serving started).
+// index for the given kind, building (and caching) both on first use.
+// Like the flat index cache it is safe under concurrent Classify
+// traffic: the split is a pure function of the index, so racing
+// builders agree and the first store wins.
 func (s *ShardedGallery) ShardedIndexFor(kind DescriptorKind, p DescriptorParams) *ShardedIndex {
 	s.mu.RLock()
 	sx := s.sharded[kind]
 	s.mu.RUnlock()
-	if sx != nil && sx.mi == s.G.MatchIndexFor(kind, p) {
+	if sx != nil {
 		return sx
 	}
 	sx = NewShardedIndex(s.G.MatchIndexFor(kind, p), s.Shards)
 	s.mu.Lock()
-	if cur := s.sharded[kind]; cur != nil && cur.mi == sx.mi {
+	if cur := s.sharded[kind]; cur != nil {
 		sx = cur
 	} else {
 		s.sharded[kind] = sx

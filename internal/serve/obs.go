@@ -68,7 +68,7 @@ func serveObs() *serveMetrics {
 		m.admissionRejects = r.Counter("snmatch_admission_rejects_total",
 			"Requests shed with 503 at the admission gate (MaxInFlight).")
 		st := r.HistogramVec("snmatch_stage_seconds",
-			"Per-request stage latency, by pipeline stage (match/verify are CPU time across shard workers).",
+			"Per-request stage latency, by pipeline stage (match is CPU time across shard workers).",
 			obs.ScaleNanos, "stage", obs.StageNames()...)
 		for i, name := range obs.StageNames() {
 			m.stages[i] = st.With(name)
@@ -95,7 +95,7 @@ func (m *serveMetrics) observeStages(tr *obs.Trace) {
 // observeResult folds one classified query's stage breakdown into the
 // aggregate per-stage histograms. Queue and classify are always known;
 // the pipeline-side stages only when the pipeline reports stats (and
-// match/verify only while tracing is live).
+// match only while tracing is live).
 func (m *serveMetrics) observeResult(res Result) {
 	m.stages[obs.StageQueue].ObserveDuration(int64(res.Queue))
 	m.stages[obs.StageClassify].ObserveDuration(int64(res.Classify))
@@ -105,15 +105,12 @@ func (m *serveMetrics) observeResult(res Result) {
 	if res.Match > 0 {
 		m.stages[obs.StageMatch].ObserveDuration(int64(res.Match))
 	}
-	if res.Verify > 0 {
-		m.stages[obs.StageVerify].ObserveDuration(int64(res.Verify))
-	}
 }
 
 // resultStagesMS renders one Result's stage breakdown as the
 // per-prediction stages_ms map (zero stages omitted).
 func resultStagesMS(res Result) map[string]float64 {
-	out := make(map[string]float64, 5)
+	out := make(map[string]float64, 4)
 	put := func(s obs.Stage, d time.Duration) {
 		if d > 0 {
 			out[s.String()] = float64(d) / float64(time.Millisecond)
@@ -123,7 +120,6 @@ func resultStagesMS(res Result) map[string]float64 {
 	put(obs.StageClassify, res.Classify)
 	put(obs.StageExtract, res.Extract)
 	put(obs.StageMatch, res.Match)
-	put(obs.StageVerify, res.Verify)
 	return out
 }
 

@@ -225,7 +225,6 @@ type Result struct {
 	Classify time.Duration // classification wall time
 	Extract  time.Duration // descriptor-extraction share of Classify (0 when unknown)
 	Match    time.Duration // index-scan share (CPU time across shard workers; 0 when unknown)
-	Verify   time.Duration // shortlist re-scoring share (approximate backends only)
 }
 
 // recoverQuery converts a classification panic into a per-query error:
@@ -271,7 +270,7 @@ func (s *Server) classify(ctx context.Context, sg *pipeline.ShardedGallery, p pi
 	res.Pred, stats, err = sg.ClassifyStatsCtx(ctx, p, img)
 	now := time.Now()
 	res.Latency, res.Queue, res.Classify = now.Sub(enter), start.Sub(enter), now.Sub(start)
-	res.Extract, res.Match, res.Verify = stats.Extract, stats.Match, stats.Verify
+	res.Extract, res.Match = stats.Extract, stats.Match
 	return res, err
 }
 
@@ -306,9 +305,9 @@ type PredictionJSON struct {
 	ExtractMS float64 `json:"extract_ms"` // descriptor-extraction share of latency_ms
 
 	// StagesMS breaks latency_ms down by pipeline stage (queue,
-	// classify, extract, and — on descriptor pipelines — match and
-	// verify; the latter two are CPU time summed across shard workers,
-	// so they can exceed wall time).
+	// classify, extract, and — on descriptor pipelines — match, which
+	// is CPU time summed across shard workers, so it can exceed wall
+	// time).
 	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
 }
 
@@ -515,7 +514,6 @@ type GalleryInfo struct {
 	Name        string         `json:"name"`
 	Views       int            `json:"views"`
 	Shards      int            `json:"shards"`
-	Index       string         `json:"index"`       // matching backend spec, e.g. "exact" or "ivf(nlists=auto,nprobe=8)"
 	Descriptors map[string]int `json:"descriptors"` // prepared kinds -> indexed descriptor rows
 }
 
@@ -533,7 +531,7 @@ func (s *Server) handleGalleries(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		info := GalleryInfo{Name: n, Views: sg.G.Len(), Shards: sg.Shards, Index: sg.G.IndexSpec().String(), Descriptors: map[string]int{}}
+		info := GalleryInfo{Name: n, Views: sg.G.Len(), Shards: sg.Shards, Descriptors: map[string]int{}}
 		// Enumerate the kinds the gallery actually has indexes for rather
 		// than a hardcoded family list, so the listing stays truthful if
 		// the set of kinds ever diverges from the built-in three (e.g. a
@@ -565,7 +563,6 @@ type HealthGallery struct {
 	Name        string          `json:"name"`
 	Views       int             `json:"views"`
 	Shards      int             `json:"shards"`
-	Index       string          `json:"index"` // matching backend spec
 	Descriptors []string        `json:"descriptors,omitempty"`
 	Snapshot    *HealthSnapshot `json:"snapshot,omitempty"`
 }
@@ -586,7 +583,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		info := HealthGallery{Name: n, Views: sg.G.Len(), Shards: sg.Shards, Index: sg.G.IndexSpec().String()}
+		info := HealthGallery{Name: n, Views: sg.G.Len(), Shards: sg.Shards}
 		for _, k := range sg.G.IndexedKinds() {
 			info.Descriptors = append(info.Descriptors, k.String())
 		}

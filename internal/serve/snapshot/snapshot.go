@@ -504,7 +504,7 @@ func encodeSetV1(e *enc, s *features.Set) {
 	e.u32(uint32(p.RowBytes))
 	e.u32(uint32(p.WordsPerRow))
 	e.f32s(p.Floats)
-	e.f32s(p.Norms)
+	e.f32s(rowNorms(p))
 	e.u64s(p.Words)
 }
 
@@ -552,15 +552,31 @@ func decodeKeypoints(d *dec, a *features.RestoreAlloc) []features.Keypoint {
 	return kps
 }
 
+// rowNorms returns the squared L2 norm of every float row: the norm
+// block both formats store after the rows. Readers check its length and
+// drop the values, so the writers compute it from the rows instead of
+// carrying it on every packed set.
+func rowNorms(p *features.Packed) []float32 {
+	if p.Dim == 0 {
+		return nil
+	}
+	out := make([]float32, p.N)
+	for i := range out {
+		out[i] = features.L2Squared(p.FloatRow(i), nil)
+	}
+	return out
+}
+
 // checkPackedShape validates a decoded packed block against its
-// recorded representation flag and keypoint count. All arithmetic is
-// division-based: the counts come off the wire as raw u32s, so products
-// like N*Dim could overflow and alias a crafted length. Returns false
-// (failing the decoder) on any mismatch.
-func checkPackedShape(d *dec, p *features.Packed, isBinary bool, nk int) bool {
+// recorded representation flag and keypoint count; norms is the
+// length of the stored norm block. All arithmetic is division-based:
+// the counts come off the wire as raw u32s, so products like N*Dim
+// could overflow and alias a crafted length. Returns false (failing
+// the decoder) on any mismatch.
+func checkPackedShape(d *dec, p *features.Packed, norms int, isBinary bool, nk int) bool {
 	ok := p.N == nk
 	if isBinary {
-		ok = ok && p.Dim == 0 && len(p.Floats) == 0 && len(p.Norms) == 0
+		ok = ok && p.Dim == 0 && len(p.Floats) == 0 && norms == 0
 		ok = ok && (p.RowBytes > 0) == (p.WordsPerRow > 0)
 		ok = ok && p.WordsPerRow == (p.RowBytes+7)/8
 		if p.WordsPerRow == 0 {
@@ -571,9 +587,9 @@ func checkPackedShape(d *dec, p *features.Packed, isBinary bool, nk int) bool {
 	} else {
 		ok = ok && p.RowBytes == 0 && p.WordsPerRow == 0 && len(p.Words) == 0
 		if p.Dim == 0 {
-			ok = ok && len(p.Floats) == 0 && len(p.Norms) == 0
+			ok = ok && len(p.Floats) == 0 && norms == 0
 		} else {
-			ok = ok && len(p.Floats)%p.Dim == 0 && len(p.Floats)/p.Dim == p.N && len(p.Norms) == p.N
+			ok = ok && len(p.Floats)%p.Dim == 0 && len(p.Floats)/p.Dim == p.N && norms == p.N
 		}
 	}
 	if !ok {
@@ -595,7 +611,8 @@ func decodeSetV1(d *dec) *features.Set {
 	}
 	p.WordsPerRow = int(d.u32())
 	p.Floats = d.f32s()
-	p.Norms = d.f32s()
+	norms := d.count(int(d.u32()), 4)
+	d.take(norms * 4)
 	p.Words = d.u64s()
 	if d.err != nil {
 		return nil
@@ -603,7 +620,7 @@ func decodeSetV1(d *dec) *features.Set {
 	if isBinary && p.Words == nil {
 		p.Words = []uint64{} // Pack always materialises Words for binary sets
 	}
-	if !checkPackedShape(d, p, isBinary, len(kps)) {
+	if !checkPackedShape(d, p, norms, isBinary, len(kps)) {
 		return nil
 	}
 	return features.RestoreSet(kps, p)

@@ -179,7 +179,7 @@ func writeV2(w io.Writer, s *Snapshot) error {
 		for i := range g.Views {
 			if s := g.Views[i].Desc[k]; s != nil {
 				so[i].norms = bw.off()
-				bw.f32s(s.Packed.Norms)
+				bw.f32s(rowNorms(s.Packed))
 			}
 		}
 		bw.align()
@@ -553,9 +553,11 @@ func decodeSetV2(d *dec, bl blob, k pipeline.DescriptorKind, tallies map[pipelin
 	if d.err != nil {
 		return nil
 	}
+	norms := 0
 	if p.Dim > 0 {
 		p.Floats = bl.f32s(floatOff, p.N*p.Dim)
-		p.Norms = bl.f32s(normOff, p.N)
+		bl.slice(normOff, p.N, 4) // bounds-check the norm block; nothing reads it
+		norms = p.N
 	}
 	if p.WordsPerRow > 0 {
 		p.Words = bl.u64s(wordOff, p.N*p.WordsPerRow)
@@ -566,7 +568,7 @@ func decodeSetV2(d *dec, bl blob, k pipeline.DescriptorKind, tallies map[pipelin
 	if isBinary && p.Words == nil {
 		p.Words = []uint64{} // Pack always materialises Words for binary sets
 	}
-	if !checkPackedShape(d, p, isBinary, len(kps)) {
+	if !checkPackedShape(d, p, norms, isBinary, len(kps)) {
 		return nil
 	}
 	p.Borrowed = borrowed

@@ -68,7 +68,7 @@ func galleriesEqual(t *testing.T, label string, a, b *pipeline.Gallery) {
 			}
 			pa, pb := sa.Packed, sb.Packed
 			if pa.N != pb.N || pa.Dim != pb.Dim || pa.RowBytes != pb.RowBytes || pa.WordsPerRow != pb.WordsPerRow ||
-				!reflect.DeepEqual(pa.Floats, pb.Floats) || !reflect.DeepEqual(pa.Norms, pb.Norms) ||
+				!reflect.DeepEqual(pa.Floats, pb.Floats) ||
 				!reflect.DeepEqual(pa.Words, pb.Words) {
 				t.Fatalf("%s view %d %s: packed block differs", label, i, k)
 			}
@@ -161,7 +161,7 @@ func TestMapZeroCopy(t *testing.T) {
 			if !p.Borrowed {
 				t.Fatalf("view %d %s: restored packed block not marked Borrowed", i, k)
 			}
-			if !inMapping(m, p.Floats) || !inMapping(m, p.Norms) || !inMapping(m, p.Words) {
+			if !inMapping(m, p.Floats) || !inMapping(m, p.Words) {
 				t.Fatalf("view %d %s: packed storage was copied off the mapping", i, k)
 			}
 			if keypointLayoutMatches && !inMapping(m, s.Keypoints) {

@@ -1,15 +1,18 @@
-// Package simd holds the vector kernels behind the float hot loops:
-// the weighted row sum that runs both passes of the separable Gaussian
-// convolution, and the flat descriptor index's 2-NN scan. Each kernel
-// is an amd64 AVX2 assembly routine beside a pure-Go twin. The choice
-// is made once, at package init, from CPUID (AVX2 present and YMM
-// state enabled by the OS); every other CPU and GOARCH runs the Go
-// twin, which is also the test oracle for the assembly.
+// Package simd holds the vector kernels behind the hot loops: the
+// weighted row sum that runs both passes of the separable Gaussian
+// convolution, and the flat descriptor index's two 2-NN scans, one
+// over float rows and one over binary rows. Each kernel is an amd64
+// AVX2 assembly routine beside a pure-Go twin. The choice is made
+// once, at package init, from CPUID (AVX2 present and YMM state
+// enabled by the OS); every other CPU and GOARCH runs the Go twin,
+// which is also the test oracle for the assembly.
 //
-// The two paths are bit-identical. Every SIMD lane runs exactly one
-// scalar accumulator chain of the Go twin: the same operands in the
-// same order, starting from +0, with a separate multiply and add.
-// Nothing uses FMA, whose single rounding would change bits.
+// The two paths are bit-identical. In the float kernels every SIMD
+// lane runs exactly one scalar accumulator chain of the Go twin: the
+// same operands in the same order, starting from +0, with a separate
+// multiply and add. Nothing uses FMA, whose single rounding would
+// change bits. The binary kernel's distances are integers, so any
+// summation order gives the same result.
 //
 // The exported wrappers reslice every input to the exact length the
 // kernel reads before dispatching, so no kernel reads past an input's
@@ -17,11 +20,19 @@
 // runs.
 package simd
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Lanes is the number of query descriptors one Lane2NN call carries:
 // one per float32 lane of a 256-bit register.
 const Lanes = 8
+
+// HammingLanes is the number of binary query descriptors one
+// HammingLane2NN call carries: one per 64-bit lane of a 256-bit
+// register.
+const HammingLanes = 4
 
 // AccumRows writes the weighted row sum dst[x] = Σ_k rows[k][x]·w[k],
 // accumulated in ascending k from +0, for every x of dst. It runs both
@@ -65,6 +76,10 @@ var inf = float32(math.Inf(1))
 // LaneBlocks returns how many Lanes-wide blocks hold n query rows.
 func LaneBlocks(n int) int { return (n + Lanes - 1) / Lanes }
 
+// HammingBlocks returns how many HammingLanes-wide blocks hold n query
+// rows.
+func HammingBlocks(n int) int { return (n + HammingLanes - 1) / HammingLanes }
+
 // TransposeLanes copies the len(rows)/dim rows of rows (row-major,
 // stride dim) into dst as LaneBlocks(n) blocks of Lanes*dim values,
 // the layout Lane2NN reads: row b*Lanes+l's component i lands at
@@ -72,18 +87,55 @@ func LaneBlocks(n int) int { return (n + Lanes - 1) / Lanes }
 // must hold LaneBlocks(n)*Lanes*dim values.
 //
 //snmatch:noalloc
-func TransposeLanes(dst, rows []float32, dim int) {
+func TransposeLanes(dst, rows []float32, dim int) { transpose(dst, rows, dim, Lanes) }
+
+// TransposeHammingLanes is TransposeLanes for the word-packed binary
+// rows HammingLane2NN reads: the len(rows)/wpr rows of rows (stride
+// wpr words) land in HammingBlocks(n) blocks of HammingLanes*wpr
+// words, row b*HammingLanes+l's word w at
+// dst[b*HammingLanes*wpr+w*HammingLanes+l]. Lanes past the last row
+// are zeroed.
+//
+//snmatch:noalloc
+func TransposeHammingLanes(dst, rows []uint64, wpr int) { transpose(dst, rows, wpr, HammingLanes) }
+
+// transpose lays rows of dim values out as lanes-wide blocks, one
+// lane per row, zeroing the lanes past the last row.
+func transpose[T float32 | uint64](dst, rows []T, dim, lanes int) {
 	n := len(rows) / dim
-	dst = dst[:LaneBlocks(n)*Lanes*dim]
-	clear(dst[n/Lanes*Lanes*dim:])
+	dst = dst[:(n+lanes-1)/lanes*lanes*dim]
+	clear(dst[n/lanes*lanes*dim:])
 	for j := 0; j < n; j++ {
-		block := dst[j/Lanes*Lanes*dim:]
-		l := j % Lanes
+		block := dst[j/lanes*lanes*dim:]
+		l := j % lanes
 		for i, v := range rows[j*dim : (j+1)*dim] {
-			block[i*Lanes+l] = v
+			block[i*lanes+l] = v
 		}
 	}
 }
+
+// HammingLane2NN returns, for each of HammingLanes binary query
+// descriptors held transposed in qt (word w of lane l at
+// qt[w*HammingLanes+l]), the smallest and second-smallest Hamming
+// distance to the len(rows)/wpr rows of rows (row-major, stride wpr
+// words). A result with no row left to take stays math.MaxUint32.
+// Distances are integers, so the fold is exact in any form; it runs
+// branch-free as s2 = min(s2, max(s1, d)), s1 = min(s1, d), which is
+// the scalar strict-less-than 2-NN update. The assembly handles
+// four-word (256-bit, ORB) rows; every other width runs the Go twin.
+//
+//snmatch:noalloc
+func HammingLane2NN(qt, rows []uint64, wpr int) (s1, s2 [HammingLanes]uint64) {
+	qt = qt[:HammingLanes*wpr]
+	rows = rows[:len(rows)/wpr*wpr]
+	s1, s2 = noneLanes, noneLanes
+	hammingLane2NN(&s1, &s2, qt, rows, wpr)
+	return s1, s2
+}
+
+// noneLanes seeds the Hamming fold. The assembly folds with unsigned
+// 32-bit min and max, so every lane's upper half must stay zero.
+var noneLanes = [HammingLanes]uint64{math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32}
 
 // accumRowsGo is AccumRows' Go twin. Blocks of eight columns run eight
 // independent accumulator chains across all taps and store each output
@@ -156,3 +208,30 @@ func lane2NNGo(s1, s2 *[Lanes]float32, qt, rows []float32, dim int) {
 		}
 	}
 }
+
+// hammingLane2NNGo is HammingLane2NN's Go twin, for every row width:
+// four popcount sums per row, folded into per-lane locals.
+func hammingLane2NNGo(s1, s2 *[HammingLanes]uint64, qt, rows []uint64, wpr int) {
+	a0, a1, a2, a3 := s1[0], s1[1], s1[2], s1[3]
+	b0, b1, b2, b3 := s2[0], s2[1], s2[2], s2[3]
+	qt = qt[:wpr*HammingLanes]
+	for r := 0; r < len(rows); r += wpr {
+		var d0, d1, d2, d3 int
+		for w, v := range rows[r : r+wpr] {
+			q := (*[HammingLanes]uint64)(qt[w*HammingLanes:])
+			d0 += bits.OnesCount64(q[0] ^ v)
+			d1 += bits.OnesCount64(q[1] ^ v)
+			d2 += bits.OnesCount64(q[2] ^ v)
+			d3 += bits.OnesCount64(q[3] ^ v)
+		}
+		a0, b0 = fold2NN(a0, b0, uint64(d0))
+		a1, b1 = fold2NN(a1, b1, uint64(d1))
+		a2, b2 = fold2NN(a2, b2, uint64(d2))
+		a3, b3 = fold2NN(a3, b3, uint64(d3))
+	}
+	*s1 = [HammingLanes]uint64{a0, a1, a2, a3}
+	*s2 = [HammingLanes]uint64{b0, b1, b2, b3}
+}
+
+// fold2NN folds distance d into the best s1 and second-best s2.
+func fold2NN(s1, s2, d uint64) (uint64, uint64) { return min(s1, d), min(s2, max(s1, d)) }

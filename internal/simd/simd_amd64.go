@@ -40,6 +40,14 @@ func lane2NN(s1, s2 *[Lanes]float32, qt, rows []float32, dim int) {
 	lane2NNGo(s1, s2, qt, rows, dim)
 }
 
+func hammingLane2NN(s1, s2 *[HammingLanes]uint64, qt, rows []uint64, wpr int) {
+	if useAVX2 && wpr == 4 {
+		hammingLane2NNAVX2(s1, s2, qt, rows)
+		return
+	}
+	hammingLane2NNGo(s1, s2, qt, rows, wpr)
+}
+
 // The assembly kernels trust their callers: every slice is already
 // resliced to the exact length read, and dim > 0.
 
@@ -54,3 +62,6 @@ func accumRowsAVX2(dst []float32, rows [][]float32, w []float32)
 
 //go:noescape
 func lane2NNAVX2(s1, s2 *[Lanes]float32, qt, rows []float32, dim int)
+
+//go:noescape
+func hammingLane2NNAVX2(s1, s2 *[HammingLanes]uint64, qt, rows []uint64)

@@ -233,3 +233,89 @@ lanedone:
 	VMOVUPS Y13, (DI)
 	VZEROUPPER
 	RET
+
+// nibblePop<> holds the popcount of every nibble 0-15, once per
+// 128-bit half: the VPSHUFB lookup table of Muła, Kurz and Lemire,
+// "Faster Population Counts Using AVX2 Instructions" (2018). The low
+// nibble mask follows it. Both load with VEX moves: a legacy SSE
+// instruction between 256-bit ones costs a state transition.
+DATA nibblePop<>+0x00(SB)/8, $0x0302020102010100
+DATA nibblePop<>+0x08(SB)/8, $0x0403030203020201
+DATA nibblePop<>+0x10(SB)/8, $0x0302020102010100
+DATA nibblePop<>+0x18(SB)/8, $0x0403030203020201
+DATA nibblePop<>+0x20(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nibblePop<>+0x28(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nibblePop<>+0x30(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nibblePop<>+0x38(SB)/8, $0x0f0f0f0f0f0f0f0f
+GLOBL nibblePop<>(SB), RODATA|NOPTR, $64
+
+// POPBYTES replaces every byte of x with its popcount, via t: look up
+// the low and the high nibble in the table Y14 (Y15 masks 0x0f).
+#define POPBYTES(x, t) \
+	VPSRLW  $4, x, t; \
+	VPAND   Y15, x, x; \
+	VPAND   Y15, t, t; \
+	VPSHUFB x, Y14, x; \
+	VPSHUFB t, Y14, t; \
+	VPADDB  t, x, x
+
+// func hammingLane2NNAVX2(s1, s2 *[4]uint64, qt, rows []uint64)
+//
+// Four-word rows only. Y0-Y3 hold query words 0-3 of the four lanes.
+// Per gallery row: broadcast each word, XOR it with its query word,
+// count bits per byte, add the four words' byte counts (at most 32 a
+// byte) and sum each lane's eight bytes with VPSADBW against zero.
+// The four distances then fold branch-free into the best Y12 and
+// second-best Y13 with unsigned 32-bit min and max: every lane's upper
+// half is zero, so the 32-bit compare is the 64-bit one.
+//
+//	t  = max(s1, d)
+//	s2 = min(s2, t)
+//	s1 = min(s1, d)
+TEXT ·hammingLane2NNAVX2(SB), NOSPLIT, $0-64
+	MOVQ         s1+0(FP), AX
+	MOVQ         s2+8(FP), DI
+	MOVQ         qt_base+16(FP), R8
+	MOVQ         rows_base+40(FP), SI
+	MOVQ         rows_len+48(FP), DX
+	LEAQ         (SI)(DX*8), DX // end of rows
+	VMOVDQU      (R8), Y0
+	VMOVDQU      32(R8), Y1
+	VMOVDQU      64(R8), Y2
+	VMOVDQU      96(R8), Y3
+	VMOVDQU      nibblePop<>+0(SB), Y14
+	VMOVDQU      nibblePop<>+32(SB), Y15
+	VPXOR        Y11, Y11, Y11 // zero, for VPSADBW
+	VMOVDQU      (AX), Y12
+	VMOVDQU      (DI), Y13
+
+hamrow:
+	CMPQ         SI, DX
+	JCC          hamdone
+	VPBROADCASTQ (SI), Y4
+	VPBROADCASTQ 8(SI), Y5
+	VPBROADCASTQ 16(SI), Y6
+	VPBROADCASTQ 24(SI), Y7
+	VPXOR        Y0, Y4, Y4
+	VPXOR        Y1, Y5, Y5
+	VPXOR        Y2, Y6, Y6
+	VPXOR        Y3, Y7, Y7
+	POPBYTES(Y4, Y8)
+	POPBYTES(Y5, Y9)
+	POPBYTES(Y6, Y10)
+	POPBYTES(Y7, Y8)
+	VPADDB       Y5, Y4, Y4
+	VPADDB       Y7, Y6, Y6
+	VPADDB       Y6, Y4, Y4
+	VPSADBW      Y11, Y4, Y4
+	VPMAXUD      Y4, Y12, Y9
+	VPMINUD      Y9, Y13, Y13
+	VPMINUD      Y4, Y12, Y12
+	ADDQ         $32, SI
+	JMP          hamrow
+
+hamdone:
+	VMOVDQU Y12, (AX)
+	VMOVDQU Y13, (DI)
+	VZEROUPPER
+	RET

@@ -110,6 +110,53 @@ func TestKernelLane2NNBitEqual(t *testing.T) {
 	}
 }
 
+// TestKernelHammingLane2NNBitEqual runs the assembly against the Go
+// twin on 0 to 100 four-word rows: random words, and all-zero and
+// all-one words that put every distance at 0 or 256 and force ties.
+// Duplicated rows and partly padded lane blocks ride along.
+func TestKernelHammingLane2NNBitEqual(t *testing.T) {
+	requireAVX2(t)
+	r := rng.New(11)
+	const wpr = 4
+	for trial := 0; trial < 400; trial++ {
+		n := trial % 101
+		word := func() uint64 {
+			switch trial % 3 {
+			case 1:
+				return [2]uint64{0, ^uint64(0)}[r.Intn(2)]
+			case 2:
+				return uint64(r.Intn(4)) << (r.Intn(62)) // sparse words: near ties
+			}
+			return r.Uint64()
+		}
+		rows := make([]uint64, n*wpr)
+		for i := range rows {
+			rows[i] = word()
+		}
+		for i := 1; i < n; i++ {
+			if r.Intn(4) == 0 { // duplicate an earlier row
+				j := r.Intn(i)
+				copy(rows[i*wpr:(i+1)*wpr], rows[j*wpr:(j+1)*wpr])
+			}
+		}
+		q := make([]uint64, (1+r.Intn(HammingLanes))*wpr)
+		for i := range q {
+			q[i] = word()
+		}
+		qt := make([]uint64, HammingLanes*wpr)
+		TransposeHammingLanes(qt, q, wpr)
+
+		ws1, ws2 := noneLanes, noneLanes
+		gs1, gs2 := noneLanes, noneLanes
+		hammingLane2NNGo(&ws1, &ws2, qt, rows, wpr)
+		hammingLane2NNAVX2(&gs1, &gs2, qt, rows)
+		if ws1 != gs1 || ws2 != gs2 {
+			t.Fatalf("trial %d (%d rows): Go twin best %v second %v, assembly best %v second %v",
+				trial, n, ws1, ws2, gs1, gs2)
+		}
+	}
+}
+
 func benchKernels(b *testing.B, asm, twin func()) {
 	b.Run("avx2", func(b *testing.B) {
 		if !useAVX2 {
@@ -153,4 +200,24 @@ func BenchmarkKernelLane2NN(b *testing.B) {
 	benchKernels(b,
 		func() { s1, s2 = infLanes, infLanes; lane2NNAVX2(&s1, &s2, qt, rows, dim) },
 		func() { s1, s2 = infLanes, infLanes; lane2NNGo(&s1, &s2, qt, rows, dim) })
+}
+
+// BenchmarkKernelHammingLane2NN scans one lane block of ORB queries
+// over 45 rows, the mean view size of the 440-view ORB gallery.
+func BenchmarkKernelHammingLane2NN(b *testing.B) {
+	r := rng.New(5)
+	const wpr, n = 4, 45
+	q, rows := make([]uint64, HammingLanes*wpr), make([]uint64, n*wpr)
+	for i := range q {
+		q[i] = r.Uint64()
+	}
+	for i := range rows {
+		rows[i] = r.Uint64()
+	}
+	qt := make([]uint64, HammingLanes*wpr)
+	TransposeHammingLanes(qt, q, wpr)
+	var s1, s2 [HammingLanes]uint64
+	benchKernels(b,
+		func() { s1, s2 = noneLanes, noneLanes; hammingLane2NNAVX2(&s1, &s2, qt, rows) },
+		func() { s1, s2 = noneLanes, noneLanes; hammingLane2NNGo(&s1, &s2, qt, rows, wpr) })
 }

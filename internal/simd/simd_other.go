@@ -9,3 +9,7 @@ func accumRows(dst []float32, rows [][]float32, w []float32) { accumRowsGo(dst, 
 func lane2NN(s1, s2 *[Lanes]float32, qt, rows []float32, dim int) {
 	lane2NNGo(s1, s2, qt, rows, dim)
 }
+
+func hammingLane2NN(s1, s2 *[HammingLanes]uint64, qt, rows []uint64, wpr int) {
+	hammingLane2NNGo(s1, s2, qt, rows, wpr)
+}

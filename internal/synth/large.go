@@ -3,7 +3,7 @@ package synth
 import "snmatch/internal/imaging"
 
 // LargeView is one rendered view of the scaled synthetic taxonomy: the
-// image plus the ground truth the ANN benchmarks score against.
+// image plus the ground truth the matching benchmarks score against.
 type LargeView struct {
 	Image *imaging.Image
 	Class Class // synthetic class id, 0..classes-1 (may exceed NumClasses)
@@ -50,7 +50,7 @@ func largeViews(classes, perClass, viewBase, size int, seed uint64) []LargeView 
 // classes x viewsPerClass views, one distinct model per synthetic
 // class, clean ShapeNet-mode rendering at the default 64px size. It
 // scales the ten-class Table 1 taxonomy toward the 55-synset
-// ShapeNetCore layout the ANN benchmarks need (e.g. 55 classes x 30
+// ShapeNetCore layout the matching benchmarks need (e.g. 55 classes x 30
 // views) — see LargeGalleryAt for the render-size knob.
 //
 // Views are enumerated deterministically from seed; equal arguments
