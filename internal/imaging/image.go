@@ -346,10 +346,27 @@ func (f *FloatGray) ToGrayIn(a *arena.Arena) *Gray {
 	return g
 }
 
-// FromStdImage converts any image.Image into an Image.
+// FromStdImage converts any image.Image into an Image: each channel of
+// pixel (x, y) is the high byte of that channel of
+// src.At(Min.X+x, Min.Y+y).RGBA(), alpha dropped.
+//
+// An *image.RGBA, what png.Decode returns for the opaque 8-bit
+// truecolor PNGs that ToStdImage encodes, is read row by row from its
+// Pix buffer: its RGBA method widens each byte, so the high byte is the
+// stored R, G or B. Every other type takes the per-pixel At loop.
 func FromStdImage(src image.Image) *Image {
 	b := src.Bounds()
 	out := NewImage(b.Dx(), b.Dy())
+	if s, ok := src.(*image.RGBA); ok {
+		w := out.W
+		for y := 0; y < out.H; y++ {
+			row, dst := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):][:4*w], out.Pix[3*w*y:][:3*w]
+			for x, i := 0, 0; x < len(dst); x, i = x+3, i+4 {
+				dst[x], dst[x+1], dst[x+2] = row[i], row[i+1], row[i+2]
+			}
+		}
+		return out
+	}
 	for y := 0; y < out.H; y++ {
 		for x := 0; x < out.W; x++ {
 			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()

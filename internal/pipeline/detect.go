@@ -1,7 +1,8 @@
 package pipeline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"snmatch/internal/contour"
 	"snmatch/internal/geom"
@@ -78,7 +79,9 @@ const bgBinBits = 5
 func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
 	const levels = 1 << bgBinBits
 	const shift = 8 - bgBinBits
-	hist := make([]int, levels*levels*levels)
+	// A bin counts at most W*H pixels, so int32 bins suffice at half
+	// the size of int ones.
+	hist := make([]int32, levels*levels*levels)
 	for i := 0; i < len(img.Pix); i += 3 {
 		idx := (int(img.Pix[i])>>shift)<<(2*bgBinBits) |
 			(int(img.Pix[i+1])>>shift)<<bgBinBits |
@@ -86,15 +89,16 @@ func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
 		hist[idx]++
 	}
 	minPeak := (len(img.Pix) / 3) / 50
-	var modes [][3]int
-	for len(modes) < bgMaxModes {
-		best, bestC := -1, 0
+	var modes [bgMaxModes][3]int
+	n := 0
+	for n < bgMaxModes {
+		best, bestC := -1, int32(0)
 		for v, c := range hist {
 			if c > bestC {
 				best, bestC = v, c
 			}
 		}
-		if best < 0 || bestC < minPeak {
+		if best < 0 || int(bestC) < minPeak {
 			break
 		}
 		// Bin centre as the mode colour.
@@ -103,7 +107,8 @@ func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
 			(best>>bgBinBits&(levels-1))<<shift | 1<<(shift-1),
 			(best&(levels-1))<<shift | 1<<(shift-1),
 		}
-		modes = append(modes, mode)
+		modes[n] = mode
+		n++
 		// Retire every bin whose centre the mode's window absorbs, so
 		// the next peak is a genuinely different surface colour.
 		for v := range hist {
@@ -118,18 +123,22 @@ func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
 			}
 		}
 	}
-	fg := imaging.NewGray(img.W, img.H)
-	for p, i := 0, 0; p < len(fg.Pix); p, i = p+1, i+3 {
-		bg := false
-		for _, m := range modes {
-			if absInt(int(img.Pix[i])-m[0]) <= tol &&
-				absInt(int(img.Pix[i+1])-m[1]) <= tol &&
-				absInt(int(img.Pix[i+2])-m[2]) <= tol {
-				bg = true
-				break
+	// lut[c][v] has bit j set when channel value v lies within ±tol of
+	// mode j's channel c, so a pixel is background exactly when the
+	// three channels' entries share a bit. Channel distances never
+	// exceed 255, so capping tol there leaves the test unchanged.
+	var lut [3][256]uint8
+	t := min(tol, 255)
+	for j, m := range modes[:n] {
+		for c := range lut {
+			for v := max(m[c]-t, 0); v <= min(m[c]+t, 255); v++ {
+				lut[c][v] |= 1 << j
 			}
 		}
-		if !bg {
+	}
+	fg := imaging.NewGray(img.W, img.H)
+	for p, i := 0, 0; p < len(fg.Pix); p, i = p+1, i+3 {
+		if lut[0][img.Pix[i]]&lut[1][img.Pix[i+1]]&lut[2][img.Pix[i+2]] == 0 {
 			fg.Pix[p] = 255
 		}
 	}
@@ -155,20 +164,19 @@ func ProposeRegions(img *imaging.Image, p DetectParams) []geom.Rect {
 }
 
 // proposeFrom is the proposal body over an already-computed foreground
-// mask, shared by ProposeRegions and ProposeCrops.
+// mask, shared by ProposeRegions and ProposeCrops. It needs each
+// border's hole flag, area and box only, so it traces summaries and
+// stores no border points.
 func proposeFrom(img *imaging.Image, fg *imaging.Gray, p DetectParams) []geom.Rect {
-	cs := contour.FindContours(fg)
 	var boxes []geom.Rect
-	for i := range cs {
-		c := &cs[i]
-		if c.Hole || c.Area() < p.MinArea {
-			continue
+	contour.TraceBorders(fg, func(b contour.Border) {
+		if b.Hole || b.Area < p.MinArea {
+			return
 		}
-		b := c.BoundingBox().Inset(-p.Pad).ClampTo(img.W, img.H)
-		if !b.Empty() {
-			boxes = append(boxes, b)
+		if box := b.Box.Inset(-p.Pad).ClampTo(img.W, img.H); !box.Empty() {
+			boxes = append(boxes, box)
 		}
-	}
+	})
 	// Suppress boxes fully contained in another proposal (fragments of a
 	// larger object's border); among equal boxes the first survives.
 	kept := boxes[:0]
@@ -188,18 +196,11 @@ func proposeFrom(img *imaging.Image, fg *imaging.Gray, p DetectParams) []geom.Re
 			kept = append(kept, b)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i], kept[j]
-		if a.MinY != b.MinY {
-			return a.MinY < b.MinY
-		}
-		if a.MinX != b.MinX {
-			return a.MinX < b.MinX
-		}
-		if a.MaxY != b.MaxY {
-			return a.MaxY < b.MaxY
-		}
-		return a.MaxX < b.MaxX
+	// Kept boxes are distinct, so the order is total and any sort
+	// returns the same sequence.
+	slices.SortFunc(kept, func(a, b geom.Rect) int {
+		return cmp.Or(cmp.Compare(a.MinY, b.MinY), cmp.Compare(a.MinX, b.MinX),
+			cmp.Compare(a.MaxY, b.MaxY), cmp.Compare(a.MaxX, b.MaxX))
 	})
 	if len(kept) > p.MaxRegions {
 		kept = kept[:p.MaxRegions]
