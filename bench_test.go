@@ -223,27 +223,24 @@ func BenchmarkRunParallelDescriptor(b *testing.B) {
 func BenchmarkGoodMatchCount(b *testing.B) {
 	r := rng.New(3)
 	mkFloat := func(n, dim int) *features.Set {
-		s := &features.Set{}
-		for i := 0; i < n; i++ {
-			d := make([]float32, dim)
-			for j := range d {
-				d[j] = float32(r.Float64())
-			}
-			s.Float = append(s.Float, d)
-			s.Keypoints = append(s.Keypoints, features.Keypoint{})
+		s := features.NewSet(nil, false, n, dim)
+		for i := range s.Floats {
+			s.Floats[i] = float32(r.Float64())
 		}
+		s.Keypoints = make([]features.Keypoint, n)
 		return s
 	}
+	// Random bytes packed little-endian into word rows, the layout
+	// BRIEF writes.
 	mkBinary := func(n, bytes int) *features.Set {
-		s := &features.Set{}
+		s := features.NewSet(nil, true, n, bytes)
 		for i := 0; i < n; i++ {
-			d := make([]byte, bytes)
-			for j := range d {
-				d[j] = byte(r.Intn(256))
+			row := s.WordRow(i)
+			for j := 0; j < bytes; j++ {
+				row[j/8] |= uint64(r.Intn(256)) << (8 * (j % 8))
 			}
-			s.Binary = append(s.Binary, d)
-			s.Keypoints = append(s.Keypoints, features.Keypoint{})
 		}
+		s.Keypoints = make([]features.Keypoint, n)
 		return s
 	}
 	qf, tf := mkFloat(80, 128), mkFloat(80, 128)
@@ -762,7 +759,7 @@ func BenchmarkANNRecall(b *testing.B) {
 	fx := getANNBench(b)
 	params := pipeline.DefaultDescriptorParams()
 	for _, kind := range []pipeline.DescriptorKind{pipeline.ORB, pipeline.SIFT} {
-		ix := fx.g.DescriptorIndexFor(kind, params)
+		ix := fx.g.MatchIndexFor(kind, params)
 		b.Run("flat/"+kind.String(), func(b *testing.B) {
 			queries := fx.queries[kind]
 			counts := make([]int32, ix.NumViews)

@@ -334,7 +334,7 @@ func cmdClassify(args []string) {
 
 	// Context: how often is this pipeline right on a 30-query sample?
 	qs := dataset.BuildNYUSubset(dataset.Config{Size: *size, Seed: *seed + 9}, 3)
-	preds, truth := pipeline.NewBatchClassifier(p, w).Run(qs, gallery)
+	preds, truth := pipeline.RunParallel(p, qs, gallery, w)
 	fmt.Printf("sample accuracy over %d fresh queries: %.2f\n",
 		qs.Len(), eval.Evaluate(truth, preds).Cumulative)
 }

@@ -4,8 +4,8 @@
 // extraction, then reclaims every loan at Reset. A warm arena — one that
 // has already served a query of the same shape — satisfies the whole
 // extraction working set (grayscale planes, Gaussian pyramids, integral
-// tables, response grids, descriptor rows, packed matrices) without
-// touching the heap.
+// tables, response grids, descriptor matrices) without touching the
+// heap.
 //
 // Loans are zeroed on checkout, so arena-backed buffers are
 // indistinguishable from make()'d ones and pooled extraction stays

@@ -103,7 +103,7 @@ func NewSuiteWithGallery(s Scale, g *pipeline.Gallery) *Suite {
 // run classifies a query set against the SNS1 gallery through the
 // suite's worker pool; output is identical to the serial pipeline.Run.
 func (s *Suite) run(p pipeline.Pipeline, queries *dataset.Set) (pred, truth []synth.Class) {
-	return pipeline.NewBatchClassifier(p, s.Scale.Workers).Run(queries, s.GallerySNS1)
+	return pipeline.RunParallel(p, queries, s.GallerySNS1, s.Scale.Workers)
 }
 
 // PrewarmDescriptors extracts every gallery descriptor family and

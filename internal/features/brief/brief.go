@@ -1,13 +1,12 @@
 // Package brief implements BRIEF binary descriptors (Calonder et al.
 // 2010): pairwise intensity comparisons on a smoothed patch, packed into
-// a bit string. A steered variant rotating the sampling pattern by the
-// keypoint orientation is provided for ORB's rBRIEF.
+// a bit string. The sampling pattern is steered by the keypoint
+// orientation, as ORB's rBRIEF requires.
 package brief
 
 import (
 	"math"
 
-	"snmatch/internal/arena"
 	"snmatch/internal/features"
 	"snmatch/internal/imaging"
 	"snmatch/internal/rng"
@@ -52,63 +51,38 @@ func NewPattern(nBits int, seed uint64) *Pattern {
 	return p
 }
 
-// Describe computes plain BRIEF descriptors for the keypoints. The image
-// should already be smoothed (the standard pipeline applies a Gaussian
-// with sigma ~2 first); keypoints too close to the border are dropped,
-// and the filtered keypoint list is returned alongside the descriptors.
-func Describe(g *imaging.Gray, kps []features.Keypoint, p *Pattern) ([]features.Keypoint, [][]byte) {
-	return describe(g, kps, p, false, nil)
-}
-
-// DescribeSteered computes rotation-aware descriptors by rotating the
-// sampling pattern by each keypoint's Angle (rBRIEF).
-func DescribeSteered(g *imaging.Gray, kps []features.Keypoint, p *Pattern) ([]features.Keypoint, [][]byte) {
-	return describe(g, kps, p, true, nil)
-}
-
-// DescribeSteeredIn is DescribeSteered with the descriptor rows and the
-// result tables drawn from the arena — bit-identical output, valid only
-// until the arena resets. The accumulators are bounded by len(kps), so
-// no state beyond the arena is needed.
-func DescribeSteeredIn(a *arena.Arena, g *imaging.Gray, kps []features.Keypoint, p *Pattern) ([]features.Keypoint, [][]byte) {
-	return describe(g, kps, p, true, a)
-}
-
-func describe(g *imaging.Gray, kps []features.Keypoint, p *Pattern, steered bool, a *arena.Arena) ([]features.Keypoint, [][]byte) {
-	nBytes := (p.Bits() + 7) / 8
+// InBounds reports whether kp lies far enough from the border of g for
+// its sampling patch: the keypoints BRIEF describes.
+func InBounds(g *imaging.Gray, kp features.Keypoint) bool {
 	border := PatchSize/2 + 1
-	var outKps []features.Keypoint
-	var outDesc [][]byte
-	if a != nil {
-		outKps = arena.Cap[features.Keypoint](a, len(kps))
-		outDesc = arena.Cap[[]byte](a, len(kps))
+	x, y := int(kp.X+0.5), int(kp.Y+0.5)
+	return x >= border && y >= border && x < g.W-border && y < g.H-border
+}
+
+// DescribeSteeredIn writes the steered BRIEF (rBRIEF) descriptor of kp,
+// which must be InBounds, into row, a zeroed row of a binary set's
+// matrix holding (Bits()+63)/64 words: the sampling pattern is rotated
+// by kp.Angle (an undefined angle, -1, leaves it unrotated), and
+// comparison i sets bit i%64 of row[i/64]. The image should already be
+// smoothed (ORB applies a Gaussian with sigma 2 first).
+func DescribeSteeredIn(g *imaging.Gray, kp features.Keypoint, p *Pattern, row []uint64) {
+	x, y := int(kp.X+0.5), int(kp.Y+0.5)
+	var sin, cos float32 = 0, 1
+	if kp.Angle >= 0 {
+		s, c := math.Sincos(float64(kp.Angle))
+		sin, cos = float32(s), float32(c)
 	}
-	for _, kp := range kps {
-		x, y := int(kp.X+0.5), int(kp.Y+0.5)
-		if x < border || y < border || x >= g.W-border || y >= g.H-border {
-			continue
+	for i := 0; i < p.Bits(); i++ {
+		ax := cos*p.Ax[i] - sin*p.Ay[i]
+		ay := sin*p.Ax[i] + cos*p.Ay[i]
+		bx := cos*p.Bx[i] - sin*p.By[i]
+		by := sin*p.Bx[i] + cos*p.By[i]
+		va := g.AtClamped(x+int(ax+roundBias(ax)), y+int(ay+roundBias(ay)))
+		vb := g.AtClamped(x+int(bx+roundBias(bx)), y+int(by+roundBias(by)))
+		if va < vb {
+			row[i/64] |= 1 << (i % 64)
 		}
-		var sin, cos float32 = 0, 1
-		if steered && kp.Angle >= 0 {
-			s, c := math.Sincos(float64(kp.Angle))
-			sin, cos = float32(s), float32(c)
-		}
-		desc := arena.Slice[byte](a, nBytes)
-		for i := 0; i < p.Bits(); i++ {
-			ax := cos*p.Ax[i] - sin*p.Ay[i]
-			ay := sin*p.Ax[i] + cos*p.Ay[i]
-			bx := cos*p.Bx[i] - sin*p.By[i]
-			by := sin*p.Bx[i] + cos*p.By[i]
-			va := g.AtClamped(x+int(ax+roundBias(ax)), y+int(ay+roundBias(ay)))
-			vb := g.AtClamped(x+int(bx+roundBias(bx)), y+int(by+roundBias(by)))
-			if va < vb {
-				desc[i/8] |= 1 << (i % 8)
-			}
-		}
-		outKps = append(outKps, kp)
-		outDesc = append(outDesc, desc)
 	}
-	return outKps, outDesc
 }
 
 // roundBias returns +0.5 for non-negative values and -0.5 otherwise so

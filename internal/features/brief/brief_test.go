@@ -60,18 +60,35 @@ func TestPatternWithinPatch(t *testing.T) {
 	}
 }
 
+// describe runs DescribeSteeredIn over the keypoints of kps that are
+// InBounds, into a fresh binary set with one row each, as ORB does.
+func describe(g *imaging.Gray, kps []features.Keypoint, p *Pattern) *features.Set {
+	var kept []features.Keypoint
+	for _, kp := range kps {
+		if InBounds(g, kp) {
+			kept = append(kept, kp)
+		}
+	}
+	s := features.NewSet(nil, true, len(kept), (p.Bits()+7)/8)
+	for i, kp := range kept {
+		DescribeSteeredIn(g, kp, p, s.WordRow(i))
+		s.Keypoints = append(s.Keypoints, kp)
+	}
+	return s
+}
+
 func TestDescribeLengthAndDeterminism(t *testing.T) {
 	g := texturedImage()
 	p := NewPattern(256, 1)
-	kps, descs := Describe(g, centerKp(), p)
-	if len(kps) != 1 || len(descs) != 1 {
-		t.Fatalf("kps=%d descs=%d", len(kps), len(descs))
+	s := describe(g, centerKp(), p)
+	if s.Len() != 1 {
+		t.Fatalf("kept %d keypoints", s.Len())
 	}
-	if len(descs[0]) != 32 {
-		t.Errorf("descriptor bytes = %d, want 32", len(descs[0]))
+	if s.RowBytes != 32 || s.WordsPerRow != 4 {
+		t.Errorf("descriptor width = %d bytes in %d words, want 32 in 4", s.RowBytes, s.WordsPerRow)
 	}
-	_, descs2 := Describe(g, centerKp(), p)
-	if features.Hamming(descs[0], descs2[0]) != 0 {
+	s2 := describe(g, centerKp(), p)
+	if features.HammingWords(s.WordRow(0), s2.WordRow(0)) != 0 {
 		t.Error("descriptor not deterministic")
 	}
 }
@@ -80,19 +97,19 @@ func TestDescribeDropsBorderKeypoints(t *testing.T) {
 	g := texturedImage()
 	p := NewPattern(128, 1)
 	kps := []features.Keypoint{{X: 2, Y: 2}, {X: 48, Y: 48}, {X: 95, Y: 95}}
-	kept, descs := Describe(g, kps, p)
-	if len(kept) != 1 || len(descs) != 1 {
-		t.Fatalf("kept = %d, want only the centre keypoint", len(kept))
+	s := describe(g, kps, p)
+	if s.Len() != 1 {
+		t.Fatalf("kept = %d, want only the centre keypoint", s.Len())
 	}
-	if kept[0].X != 48 {
-		t.Errorf("wrong keypoint kept: %+v", kept[0])
+	if s.Keypoints[0].X != 48 {
+		t.Errorf("wrong keypoint kept: %+v", s.Keypoints[0])
 	}
 }
 
 func TestDescriptorRobustToMildNoise(t *testing.T) {
 	g := texturedImage()
 	p := NewPattern(256, 1)
-	_, d1 := Describe(g, centerKp(), p)
+	d1 := describe(g, centerKp(), p)
 	// Perturb a few pixels slightly.
 	g2 := g.Clone()
 	for i := 0; i < len(g2.Pix); i += 97 {
@@ -102,8 +119,8 @@ func TestDescriptorRobustToMildNoise(t *testing.T) {
 		}
 		g2.Pix[i] = uint8(v)
 	}
-	_, d2 := Describe(g2, centerKp(), p)
-	if d := features.Hamming(d1[0], d2[0]); d > 40 {
+	d2 := describe(g2, centerKp(), p)
+	if d := features.HammingWords(d1.WordRow(0), d2.WordRow(0)); d > 40 {
 		t.Errorf("Hamming under mild noise = %d", d)
 	}
 }
@@ -115,10 +132,10 @@ func TestDescriptorDiscriminates(t *testing.T) {
 		inv.Pix[i] = 255 - v
 	}
 	p := NewPattern(256, 1)
-	_, d1 := Describe(g, centerKp(), p)
-	_, d2 := Describe(inv, centerKp(), p)
+	d1 := describe(g, centerKp(), p)
+	d2 := describe(inv, centerKp(), p)
 	// Inverting the image flips (almost) every informative comparison.
-	if d := features.Hamming(d1[0], d2[0]); d < 100 {
+	if d := features.HammingWords(d1.WordRow(0), d2.WordRow(0)); d < 100 {
 		t.Errorf("inverted image Hamming = %d, want large", d)
 	}
 }
@@ -143,13 +160,67 @@ func TestSteeredRotationConsistency(t *testing.T) {
 	kpRot := []features.Keypoint{{X: 64, Y: 64, Angle: float32(theta)}}
 	kpZero := []features.Keypoint{{X: 64, Y: 64, Angle: 0}}
 
-	_, base := DescribeSteered(g, kp0, p)
-	_, steered := DescribeSteered(gr, kpRot, p)
-	_, unsteered := DescribeSteered(gr, kpZero, p)
+	base := describe(g, kp0, p)
+	steered := describe(gr, kpRot, p)
+	unsteered := describe(gr, kpZero, p)
 
-	dSteer := features.Hamming(base[0], steered[0])
-	dPlain := features.Hamming(base[0], unsteered[0])
+	dSteer := features.HammingWords(base.WordRow(0), steered.WordRow(0))
+	dPlain := features.HammingWords(base.WordRow(0), unsteered.WordRow(0))
 	if dSteer >= dPlain {
 		t.Errorf("steering did not help: steered=%d plain=%d", dSteer, dPlain)
+	}
+}
+
+// referenceBytes is rBRIEF in its byte-oriented form, kept as the
+// reference for the word rows: comparison i sets bit i%8 of byte i/8.
+func referenceBytes(g *imaging.Gray, kp features.Keypoint, p *Pattern) []byte {
+	desc := make([]byte, (p.Bits()+7)/8)
+	x, y := int(kp.X+0.5), int(kp.Y+0.5)
+	var sin, cos float32 = 0, 1
+	if kp.Angle >= 0 {
+		s, c := math.Sincos(float64(kp.Angle))
+		sin, cos = float32(s), float32(c)
+	}
+	for i := 0; i < p.Bits(); i++ {
+		ax := cos*p.Ax[i] - sin*p.Ay[i]
+		ay := sin*p.Ax[i] + cos*p.Ay[i]
+		bx := cos*p.Bx[i] - sin*p.By[i]
+		by := sin*p.Bx[i] + cos*p.By[i]
+		va := g.AtClamped(x+int(ax+roundBias(ax)), y+int(ay+roundBias(ay)))
+		vb := g.AtClamped(x+int(bx+roundBias(bx)), y+int(by+roundBias(by)))
+		if va < vb {
+			desc[i/8] |= 1 << (i % 8)
+		}
+	}
+	return desc
+}
+
+// TestDescribeSteeredInMatchesFresh checks DescribeSteeredIn's word
+// rows against a fresh byte-oriented reference packed little-endian
+// into words, at a whole-word and a partial-word pattern width.
+func TestDescribeSteeredInMatchesFresh(t *testing.T) {
+	g := texturedImage()
+	kps := []features.Keypoint{
+		{X: 48, Y: 48, Angle: -1},
+		{X: 40, Y: 52, Angle: 1.1},
+		{X: 60, Y: 40, Angle: 4.7},
+	}
+	for _, bits := range []int{256, 100} {
+		p := NewPattern(bits, 9)
+		s := describe(g, kps, p)
+		if s.Len() != len(kps) || s.WordsPerRow != (bits+63)/64 {
+			t.Fatalf("bits=%d: kept %d rows of %d words", bits, s.Len(), s.WordsPerRow)
+		}
+		for r, kp := range kps {
+			want := make([]uint64, s.WordsPerRow)
+			for b, v := range referenceBytes(g, kp, p) {
+				want[b/8] |= uint64(v) << (8 * (b % 8))
+			}
+			for w, got := range s.WordRow(r) {
+				if got != want[w] {
+					t.Fatalf("bits=%d row %d word %d = %#x, want %#x", bits, r, w, got, want[w])
+				}
+			}
+		}
 	}
 }

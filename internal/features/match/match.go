@@ -3,11 +3,10 @@
 // the flat descriptor index is tested against.
 //
 // The brute-force kernels are allocation-free in steady state: distances
-// are compared in the squared (L2) or integer (Hamming) domain with the
-// square root deferred to the API boundary, the 2-NN hot path tracks
-// best/second-best in registers instead of sorting a candidate slice,
-// and word-packed descriptor rows (features.Packed) are used when the
-// sets carry them.
+// are compared in the squared (L2) or integer (Hamming, over word-packed
+// rows) domain with the square root deferred to the API boundary, and
+// the 2-NN hot path tracks best/second-best in registers instead of
+// sorting a candidate slice.
 package match
 
 import (
@@ -26,7 +25,7 @@ type Match struct {
 // checkRepresentations panics on mixed float/binary matching, mirroring
 // OpenCV's BFMatcher contract.
 func checkRepresentations(query, train *features.Set) {
-	if query.IsBinary() != train.IsBinary() && query.Len() > 0 && train.Len() > 0 {
+	if query.Binary != train.Binary && query.Len() > 0 && train.Len() > 0 {
 		panic("match: mixed descriptor representations")
 	}
 }
@@ -38,30 +37,14 @@ func checkRepresentations(query, train *features.Set) {
 func best2Float(query, train *features.Set, qi int) (s1, s2 float32, i1, i2, found int) {
 	s1, s2 = inf32, inf32
 	i1, i2 = -1, -1
-	n := train.Len()
-	if qp, tp := query.Packed, train.Packed; qp != nil && tp != nil && tp.Dim > 0 {
-		q := qp.FloatRow(qi)
-		dim := tp.Dim
-		data := tp.Floats
-		for ti := 0; ti < n; ti++ {
-			d := features.L2Squared(q, data[ti*dim:(ti+1)*dim])
-			if d < s1 {
-				s2, i2 = s1, i1
-				s1, i1 = d, ti
-			} else if d < s2 {
-				s2, i2 = d, ti
-			}
-		}
-	} else {
-		q := query.Float[qi]
-		for ti := 0; ti < n; ti++ {
-			d := features.L2Squared(q, train.Float[ti])
-			if d < s1 {
-				s2, i2 = s1, i1
-				s1, i1 = d, ti
-			} else if d < s2 {
-				s2, i2 = d, ti
-			}
+	q := query.FloatRow(qi)
+	for ti := 0; ti < train.Len(); ti++ {
+		d := features.L2Squared(q, train.FloatRow(ti))
+		if d < s1 {
+			s2, i2 = s1, i1
+			s1, i1 = d, ti
+		} else if d < s2 {
+			s2, i2 = d, ti
 		}
 	}
 	return s1, s2, i1, i2, neighbours(i1, i2)
@@ -82,30 +65,14 @@ func neighbours(i1, i2 int) int {
 func best2Binary(query, train *features.Set, qi int) (s1, s2, i1, i2, found int) {
 	s1, s2 = math.MaxInt, math.MaxInt
 	i1, i2 = -1, -1
-	n := train.Len()
-	if qp, tp := query.Packed, train.Packed; qp != nil && tp != nil && tp.WordsPerRow > 0 {
-		q := qp.WordRow(qi)
-		wpr := tp.WordsPerRow
-		words := tp.Words
-		for ti := 0; ti < n; ti++ {
-			d := features.HammingWords(q, words[ti*wpr:(ti+1)*wpr])
-			if d < s1 {
-				s2, i2 = s1, i1
-				s1, i1 = d, ti
-			} else if d < s2 {
-				s2, i2 = d, ti
-			}
-		}
-	} else {
-		q := query.Binary[qi]
-		for ti := 0; ti < n; ti++ {
-			d := features.Hamming(q, train.Binary[ti])
-			if d < s1 {
-				s2, i2 = s1, i1
-				s1, i1 = d, ti
-			} else if d < s2 {
-				s2, i2 = d, ti
-			}
+	q := query.WordRow(qi)
+	for ti := 0; ti < train.Len(); ti++ {
+		d := features.HammingWords(q, train.WordRow(ti))
+		if d < s1 {
+			s2, i2 = s1, i1
+			s1, i1 = d, ti
+		} else if d < s2 {
+			s2, i2 = d, ti
 		}
 	}
 	return s1, s2, i1, i2, neighbours(i1, i2)
@@ -148,7 +115,7 @@ func KNN(query, train *features.Set, k int) [][]Match {
 	if k <= 2 {
 		for qi := 0; qi < query.Len(); qi++ {
 			ms := make([]Match, 0, k)
-			if train.IsBinary() {
+			if train.Binary {
 				s1, s2, i1, i2, found := best2Binary(query, train, qi)
 				if found >= 1 {
 					ms = append(ms, Match{QueryIdx: qi, TrainIdx: i1, Distance: float32(s1)})
@@ -176,17 +143,17 @@ func KNN(query, train *features.Set, k int) [][]Match {
 		buf = buf[:0]
 		for ti := 0; ti < train.Len(); ti++ {
 			var key float32
-			if train.IsBinary() {
-				key = float32(features.Hamming(query.Binary[qi], train.Binary[ti]))
+			if train.Binary {
+				key = float32(features.HammingWords(query.WordRow(qi), train.WordRow(ti)))
 			} else {
-				key = features.L2Squared(query.Float[qi], train.Float[ti])
+				key = features.L2Squared(query.FloatRow(qi), train.FloatRow(ti))
 			}
 			insertBounded(&buf, k, scored{key: key, ti: ti})
 		}
 		ms := make([]Match, len(buf))
 		for i, c := range buf {
 			d := c.key
-			if !train.IsBinary() {
+			if !train.Binary {
 				d = sqrt32(d)
 			}
 			ms[i] = Match{QueryIdx: qi, TrainIdx: c.ti, Distance: d}
@@ -255,7 +222,7 @@ func GoodMatchCount(query, train *features.Set, ratio float64) int {
 	}
 	checkRepresentations(query, train)
 	count := 0
-	if train.IsBinary() {
+	if train.Binary {
 		for qi := 0; qi < query.Len(); qi++ {
 			s1, s2, _, _, _ := best2Binary(query, train, qi)
 			if float64(float32(s1)) < ratio*float64(float32(s2)) {

@@ -9,17 +9,33 @@ import (
 	"snmatch/internal/rng"
 )
 
+// floatSet lays float descriptors out as a set's matrix.
 func floatSet(desc ...[]float32) *features.Set {
-	s := &features.Set{Float: desc}
-	for range desc {
+	dim := 0
+	if len(desc) > 0 {
+		dim = len(desc[0])
+	}
+	s := features.NewSet(nil, false, len(desc), dim)
+	for i, d := range desc {
+		copy(s.FloatRow(i), d)
 		s.Keypoints = append(s.Keypoints, features.Keypoint{})
 	}
 	return s
 }
 
+// binarySet packs byte descriptors little-endian into a set's word
+// rows, the layout BRIEF writes.
 func binarySet(desc ...[]byte) *features.Set {
-	s := &features.Set{Binary: desc}
-	for range desc {
+	nb := 0
+	if len(desc) > 0 {
+		nb = len(desc[0])
+	}
+	s := features.NewSet(nil, true, len(desc), nb)
+	for i, d := range desc {
+		row := s.WordRow(i)
+		for b, v := range d {
+			row[b/8] |= uint64(v) << (8 * (b % 8))
+		}
 		s.Keypoints = append(s.Keypoints, features.Keypoint{})
 	}
 	return s
@@ -135,10 +151,10 @@ func legacyKNN(query, train *features.Set, k int) [][]Match {
 		cands := make([]Match, 0, train.Len())
 		for ti := 0; ti < train.Len(); ti++ {
 			var d float32
-			if query.IsBinary() {
-				d = float32(features.Hamming(query.Binary[qi], train.Binary[ti]))
+			if query.Binary {
+				d = float32(features.HammingWords(query.WordRow(qi), train.WordRow(ti)))
 			} else {
-				d = features.L2(query.Float[qi], train.Float[ti])
+				d = features.L2(query.FloatRow(qi), train.FloatRow(ti))
 			}
 			cands = append(cands, Match{QueryIdx: qi, TrainIdx: ti, Distance: d})
 		}
@@ -166,29 +182,25 @@ func legacyGoodMatchCount(query, train *features.Set, ratio float64) int {
 // randomFloatSet draws integer-valued components so that distances are
 // exact and repeated descriptors produce genuine distance ties.
 func randomFloatSet(r *rng.RNG, n, dim, vocab int) *features.Set {
-	s := &features.Set{}
-	for i := 0; i < n; i++ {
-		d := make([]float32, dim)
-		for j := range d {
-			d[j] = float32(r.Intn(vocab))
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = make([]float32, dim)
+		for j := range rows[i] {
+			rows[i][j] = float32(r.Intn(vocab))
 		}
-		s.Float = append(s.Float, d)
-		s.Keypoints = append(s.Keypoints, features.Keypoint{})
 	}
-	return s
+	return floatSet(rows...)
 }
 
 func randomBinarySet(r *rng.RNG, n, bytes, vocab int) *features.Set {
-	s := &features.Set{}
-	for i := 0; i < n; i++ {
-		d := make([]byte, bytes)
-		for j := range d {
-			d[j] = byte(r.Intn(vocab))
+	rows := make([][]byte, n)
+	for i := range rows {
+		rows[i] = make([]byte, bytes)
+		for j := range rows[i] {
+			rows[i][j] = byte(r.Intn(vocab))
 		}
-		s.Binary = append(s.Binary, d)
-		s.Keypoints = append(s.Keypoints, features.Keypoint{})
 	}
-	return s
+	return binarySet(rows...)
 }
 
 func knnEqual(t *testing.T, label string, want, got [][]Match) {
@@ -225,13 +237,6 @@ func TestKNNMatchesLegacyRandomized(t *testing.T) {
 		ft := randomFloatSet(r, nt, 8, vocab)
 		bq := randomBinarySet(r, nq, 4, vocab)
 		bt := randomBinarySet(r, nt, 4, vocab)
-		if trial%2 == 0 {
-			// Half the trials run the packed fast paths.
-			fq.Pack()
-			ft.Pack()
-			bq.Pack()
-			bt.Pack()
-		}
 		for _, k := range []int{1, 2, 3, 5, nt, nt + 7} {
 			knnEqual(t, "float", legacyKNN(fq, ft, k), KNN(fq, ft, k))
 			knnEqual(t, "binary", legacyKNN(bq, bt, k), KNN(bq, bt, k))
@@ -265,12 +270,6 @@ func TestGoodMatchCountMatchesLegacyRandomized(t *testing.T) {
 		ft := randomFloatSet(r, nt, 8, vocab)
 		bq := randomBinarySet(r, nq, 4, vocab)
 		bt := randomBinarySet(r, nt, 4, vocab)
-		if trial%2 == 0 {
-			fq.Pack()
-			ft.Pack()
-			bq.Pack()
-			bt.Pack()
-		}
 		for _, ratio := range []float64{0.5, 0.75, 1.0} {
 			if got, want := GoodMatchCount(fq, ft, ratio), legacyGoodMatchCount(fq, ft, ratio); got != want {
 				t.Errorf("trial %d ratio %v float: %d != %d", trial, ratio, got, want)
@@ -284,10 +283,10 @@ func TestGoodMatchCountMatchesLegacyRandomized(t *testing.T) {
 
 func TestGoodMatchCountAllocationFree(t *testing.T) {
 	r := rng.New(12)
-	fq := randomFloatSet(r, 20, 16, 7).Pack()
-	ft := randomFloatSet(r, 25, 16, 7).Pack()
-	bq := randomBinarySet(r, 20, 8, 200).Pack()
-	bt := randomBinarySet(r, 25, 8, 200).Pack()
+	fq := randomFloatSet(r, 20, 16, 7)
+	ft := randomFloatSet(r, 25, 16, 7)
+	bq := randomBinarySet(r, 20, 8, 200)
+	bt := randomBinarySet(r, 25, 8, 200)
 	if n := testing.AllocsPerRun(50, func() { GoodMatchCount(fq, ft, 0.5) }); n != 0 {
 		t.Errorf("float GoodMatchCount allocates %v per run", n)
 	}

@@ -50,7 +50,7 @@ func (p Params) withDefaults() Params {
 }
 
 // Scratch recycles ORB's per-query working set: the pyramid levels,
-// gradient planes, smoothed rasters and descriptor rows come from the
+// gradient planes, smoothed rasters and the returned set come from the
 // arena, the FAST detector runs over its own recycled buffers, the
 // corner accumulator is a reusable spine, and the (deterministic,
 // seed-keyed) BRIEF pattern is computed once and cached across queries.
@@ -59,7 +59,6 @@ func (p Params) withDefaults() Params {
 // returned Set is invalid after the Reset.
 type Scratch struct {
 	A    *arena.Arena
-	Feat *features.Scratch
 	Fast fast.Scratch
 
 	pts []levelPoint
@@ -73,13 +72,6 @@ func (sc *Scratch) arena() *arena.Arena {
 		return nil
 	}
 	return sc.A
-}
-
-func (sc *Scratch) feat() *features.Scratch {
-	if sc == nil {
-		return nil
-	}
-	return sc.Feat
 }
 
 // pattern returns the BRIEF pattern for the seed, cached on the scratch
@@ -195,33 +187,37 @@ func extract(g *imaging.Gray, p Params, pattern *brief.Pattern, sc *Scratch) *fe
 		pts = pts[:p.NFeatures]
 	}
 
-	// Orientation by intensity centroid, then steered BRIEF per level.
-	out := sc.feat().NewBinarySet()
+	// Orientation by intensity centroid, then steered BRIEF per level,
+	// each descriptor written into the next row of the set. Keypoints
+	// too close to their level's border are dropped, and counted out
+	// first so the set holds exactly one row per kept keypoint.
+	n := 0
+	for _, pt := range pts {
+		if brief.InBounds(levels[pt.level], pt.kp) {
+			n++
+		}
+	}
+	out := features.NewSet(a, true, n, (pattern.Bits()+7)/8)
 	for li, lvl := range levels {
 		smoothed := lvl.GaussianBlurIn(a, 2)
 		s := scales[li]
-		lvlKps := arena.Cap[features.Keypoint](a, len(pts))
 		for _, pt := range pts {
-			if pt.level != li {
+			if pt.level != li || !brief.InBounds(lvl, pt.kp) {
 				continue
 			}
 			kp := pt.kp
 			kp.Angle = intensityCentroidAngle(lvl, int(kp.X), int(kp.Y), p.PatchRadius)
 			kp.Response = pt.harris
 			kp.Octave = li
-			lvlKps = append(lvlKps, kp)
-		}
-		kept, descs := brief.DescribeSteeredIn(a, smoothed, lvlKps, pattern)
-		// Map keypoints back to base-image coordinates.
-		for i, kp := range kept {
+			brief.DescribeSteeredIn(smoothed, kp, pattern, out.WordRow(out.Len()))
+			// Map the keypoint back to base-image coordinates.
 			kp.X = float32(float64(kp.X) * s)
 			kp.Y = float32(float64(kp.Y) * s)
 			kp.Size = float32(31 * s)
 			out.Keypoints = append(out.Keypoints, kp)
-			out.Binary = append(out.Binary, descs[i])
 		}
 	}
-	return sc.feat().Finish(out)
+	return out
 }
 
 // harrisResponse computes det(M) - k tr(M)^2 over a 7x7 window of Sobel

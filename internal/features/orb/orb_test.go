@@ -30,16 +30,14 @@ func TestExtractProducesDescriptors(t *testing.T) {
 	if set.Len() == 0 {
 		t.Fatal("no ORB features")
 	}
-	if !set.IsBinary() {
+	if !set.Binary {
 		t.Fatal("ORB descriptors should be binary")
 	}
-	for i, d := range set.Binary {
-		if len(d) != 32 {
-			t.Fatalf("descriptor %d has %d bytes, want 32", i, len(d))
-		}
+	if set.RowBytes != 32 || set.WordsPerRow != 4 {
+		t.Fatalf("descriptors are %d bytes in %d words, want 32 in 4", set.RowBytes, set.WordsPerRow)
 	}
-	if len(set.Keypoints) != len(set.Binary) {
-		t.Fatalf("keypoints %d != descriptors %d", len(set.Keypoints), len(set.Binary))
+	if len(set.Words) != set.Len()*set.WordsPerRow {
+		t.Fatalf("keypoints %d != descriptors %d", set.Len(), len(set.Words)/set.WordsPerRow)
 	}
 }
 
@@ -49,11 +47,9 @@ func TestExtractDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Binary {
-		for j := range a.Binary[i] {
-			if a.Binary[i][j] != b.Binary[i][j] {
-				t.Fatal("descriptors not deterministic")
-			}
+	for i := range a.Words {
+		if a.Words[i] != b.Words[i] {
+			t.Fatal("descriptors not deterministic")
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"snmatch/internal/arena"
-	"snmatch/internal/features"
 )
 
 // TestExtractScratchMatchesExtract reuses one scratch across a stream
@@ -12,8 +11,7 @@ import (
 // pattern — is recycled) and requires the pooled extraction to equal
 // the fresh one bit for bit.
 func TestExtractScratchMatchesExtract(t *testing.T) {
-	feat := &features.Scratch{A: arena.New()}
-	sc := &Scratch{A: feat.A, Feat: feat}
+	sc := &Scratch{A: arena.New()}
 	params := Params{NFeatures: 120, FASTThreshold: 15}
 	for round := 0; round < 2; round++ {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -23,17 +21,17 @@ func TestExtractScratchMatchesExtract(t *testing.T) {
 			if want.Len() != got.Len() {
 				t.Fatalf("round %d seed %d: %d keypoints, want %d", round, seed, got.Len(), want.Len())
 			}
-			if !got.IsBinary() {
-				t.Fatal("pooled ORB set is not binary")
+			if !got.Binary || got.RowBytes != want.RowBytes || got.WordsPerRow != want.WordsPerRow {
+				t.Fatalf("pooled ORB set shape %+v, want %+v", got, want)
 			}
 			for i := range want.Keypoints {
 				if want.Keypoints[i] != got.Keypoints[i] {
 					t.Fatalf("round %d seed %d: keypoint %d differs", round, seed, i)
 				}
-				for j := range want.Binary[i] {
-					if want.Binary[i][j] != got.Binary[i][j] {
-						t.Fatalf("round %d seed %d: descriptor %d byte %d differs", round, seed, i, j)
-					}
+			}
+			for i := range want.Words {
+				if want.Words[i] != got.Words[i] {
+					t.Fatalf("round %d seed %d: descriptor word %d differs", round, seed, i)
 				}
 			}
 			sc.A.Reset()
@@ -45,8 +43,7 @@ func TestExtractScratchMatchesExtract(t *testing.T) {
 // changing the seed mid-stream must re-derive the pattern, not reuse
 // the cached one.
 func TestScratchPatternCacheFollowsSeed(t *testing.T) {
-	feat := &features.Scratch{A: arena.New()}
-	sc := &Scratch{A: feat.A, Feat: feat}
+	sc := &Scratch{A: arena.New()}
 	g := sceneImage(2)
 	for _, seed := range []uint64{3, 9, 3} {
 		params := Params{NFeatures: 60, Seed: seed}
@@ -55,11 +52,9 @@ func TestScratchPatternCacheFollowsSeed(t *testing.T) {
 		if want.Len() != got.Len() {
 			t.Fatalf("seed %d: %d keypoints, want %d", seed, got.Len(), want.Len())
 		}
-		for i := range want.Binary {
-			for j := range want.Binary[i] {
-				if want.Binary[i][j] != got.Binary[i][j] {
-					t.Fatalf("seed %d: descriptor %d byte %d differs", seed, i, j)
-				}
+		for i := range want.Words {
+			if want.Words[i] != got.Words[i] {
+				t.Fatalf("seed %d: descriptor word %d differs", seed, i)
 			}
 		}
 		sc.A.Reset()

@@ -54,15 +54,14 @@ const (
 )
 
 // Scratch recycles SIFT's per-query working set: every raster of the
-// Gaussian and DoG pyramids, the convolution scratch and descriptor
-// rows come from the arena, and the candidate-keypoint accumulator is a
+// Gaussian and DoG pyramids, the convolution scratch and the returned
+// set come from the arena, and the candidate-keypoint accumulator is a
 // reusable spine that grows to the workload's steady-state size once.
 // A nil *Scratch allocates freshly, exactly like Extract. One
 // extraction may be in flight per Scratch between arena Resets; the
 // returned Set is invalid after the Reset.
 type Scratch struct {
-	A    *arena.Arena
-	Feat *features.Scratch
+	A *arena.Arena
 
 	kps []internalKp
 }
@@ -72,13 +71,6 @@ func (sc *Scratch) arena() *arena.Arena {
 		return nil
 	}
 	return sc.A
-}
-
-func (sc *Scratch) feat() *features.Scratch {
-	if sc == nil {
-		return nil
-	}
-	return sc.Feat
 }
 
 // Extract detects SIFT keypoints and computes their descriptors.
@@ -111,13 +103,13 @@ func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
 		kps = kps[:p.MaxFeatures]
 	}
 
-	set := sc.feat().NewFloatSet()
+	set := features.NewSet(a, false, len(kps), descWidth*descWidth*descBins)
 	firstOctaveScale := float32(1.0)
 	if !p.NoDoubleImage {
 		firstOctaveScale = 0.5
 	}
-	for _, k := range kps {
-		desc := computeDescriptor(gauss, k, p.NOctaveLayers, a)
+	for i, k := range kps {
+		computeDescriptor(gauss, k, set.FloatRow(i))
 		kp := features.Keypoint{
 			X:        k.x * float32(math.Pow(2, float64(k.octave))) * firstOctaveScale,
 			Y:        k.y * float32(math.Pow(2, float64(k.octave))) * firstOctaveScale,
@@ -127,9 +119,8 @@ func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
 			Octave:   k.octave,
 		}
 		set.Keypoints = append(set.Keypoints, kp)
-		set.Float = append(set.Float, desc)
 	}
-	return sc.feat().Finish(set)
+	return set
 }
 
 // internalKp is a keypoint in octave coordinates before remapping.
@@ -467,11 +458,11 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 // descWidth/descBins constants.
 func histIdx(r, c, o int) int { return (r*(descWidth+2)+c)*(descBins+2) + o }
 
-// computeDescriptor produces the 128-d descriptor for the keypoint from
-// its octave's Gaussian image. The histogram is a stack array (its
-// extent is a compile-time constant) and the returned row comes from
-// the arena, so a warm context computes descriptors without heap work.
-func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, nLayers int, a *arena.Arena) []float32 {
+// computeDescriptor writes the 128-d descriptor for the keypoint, from
+// its octave's Gaussian image, into desc, a row of the set's matrix.
+// The histogram is a stack array (its extent is a compile-time
+// constant), so a warm context computes descriptors without heap work.
+func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float32) {
 	img := gauss[kp.octave][kp.layer]
 	d, n := descWidth, descBins
 	histWidth := descSclFactor * float64(kp.sclOctv)
@@ -560,7 +551,6 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, nLayers int,
 	}
 
 	// Collapse the guard bins into the d*d*n vector.
-	desc := arena.Slice[float32](a, d*d*n)
 	k := 0
 	for r := 1; r <= d; r++ {
 		for c := 1; c <= d; c++ {
@@ -571,7 +561,6 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, nLayers int,
 		}
 	}
 	normalizeDescriptor(desc)
-	return desc
 }
 
 // normalizeDescriptor applies Lowe's normalise -> clamp at 0.2 ->

@@ -54,13 +54,14 @@ func TestDescriptorShapeAndNorm(t *testing.T) {
 	if set.Len() == 0 {
 		t.Fatal("no keypoints")
 	}
-	if set.IsBinary() {
+	if set.Binary {
 		t.Fatal("SIFT must produce float descriptors")
 	}
-	for _, d := range set.Float {
-		if len(d) != 128 {
-			t.Fatalf("descriptor length = %d", len(d))
-		}
+	if set.Dim != 128 {
+		t.Fatalf("descriptor length = %d", set.Dim)
+	}
+	for i := 0; i < set.Len(); i++ {
+		d := set.FloatRow(i)
 		var norm float64
 		for _, v := range d {
 			if v < 0 {
@@ -81,8 +82,8 @@ func TestDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Float {
-		if features.L2(a.Float[i], b.Float[i]) != 0 {
+	for i := 0; i < a.Len(); i++ {
+		if features.L2(a.FloatRow(i), b.FloatRow(i)) != 0 {
 			t.Fatal("descriptors not deterministic")
 		}
 	}
@@ -155,10 +156,8 @@ func TestNoDoubleImageStillWorks(t *testing.T) {
 	set := Extract(texturedScene(8), Params{NoDoubleImage: true})
 	// Fewer keypoints than the doubled pipeline is expected, but the
 	// extractor must still function.
-	for _, d := range set.Float {
-		if len(d) != 128 {
-			t.Fatal("bad descriptor length without doubling")
-		}
+	if set.Len() > 0 && set.Dim != 128 {
+		t.Fatal("bad descriptor length without doubling")
 	}
 }
 

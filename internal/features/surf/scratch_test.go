@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"snmatch/internal/arena"
-	"snmatch/internal/features"
 )
 
 // TestExtractScratchMatchesExtract reuses one scratch across a stream
 // of scenes (twice, so every buffer is recycled) and requires the
 // pooled extraction to equal the fresh one bit for bit.
 func TestExtractScratchMatchesExtract(t *testing.T) {
-	feat := &features.Scratch{A: arena.New()}
-	sc := &Scratch{A: feat.A, Feat: feat}
+	sc := &Scratch{A: arena.New()}
 	for round := 0; round < 2; round++ {
 		for seed := uint64(1); seed <= 3; seed++ {
 			g := blobScene(seed, 96)
@@ -22,14 +20,17 @@ func TestExtractScratchMatchesExtract(t *testing.T) {
 			if want.Len() != got.Len() {
 				t.Fatalf("round %d seed %d: %d keypoints, want %d", round, seed, got.Len(), want.Len())
 			}
+			if got.Binary || got.Dim != want.Dim {
+				t.Fatalf("pooled set shape %+v, want %+v", got, want)
+			}
 			for i := range want.Keypoints {
 				if want.Keypoints[i] != got.Keypoints[i] {
 					t.Fatalf("round %d seed %d: keypoint %d differs", round, seed, i)
 				}
-				for j := range want.Float[i] {
-					if math.Float32bits(want.Float[i][j]) != math.Float32bits(got.Float[i][j]) {
-						t.Fatalf("round %d seed %d: descriptor %d[%d] differs", round, seed, i, j)
-					}
+			}
+			for i := range want.Floats {
+				if math.Float32bits(want.Floats[i]) != math.Float32bits(got.Floats[i]) {
+					t.Fatalf("round %d seed %d: descriptor component %d differs", round, seed, i)
 				}
 			}
 			sc.A.Reset()

@@ -55,14 +55,13 @@ func (r *responseLayer) at(gx, gy int) float32 {
 }
 
 // Scratch recycles SURF's per-query working set: the integral image,
-// the fast-Hessian response grids and the descriptor rows come from the
+// the fast-Hessian response grids and the returned set come from the
 // arena, and the keypoint accumulator is a reusable spine. A nil
 // *Scratch allocates freshly, exactly like Extract. One extraction may
 // be in flight per Scratch between arena Resets; the returned Set is
 // invalid after the Reset.
 type Scratch struct {
-	A    *arena.Arena
-	Feat *features.Scratch
+	A *arena.Arena
 
 	kps []surfKp
 }
@@ -72,13 +71,6 @@ func (sc *Scratch) arena() *arena.Arena {
 		return nil
 	}
 	return sc.A
-}
-
-func (sc *Scratch) feat() *features.Scratch {
-	if sc == nil {
-		return nil
-	}
-	return sc.Feat
 }
 
 // Extract detects and describes SURF features on the grayscale image.
@@ -96,20 +88,19 @@ func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
 	layers := buildResponseLayers(integral, g.W, g.H, p, a)
 	kps := findExtrema(layers, p, sc)
 
-	set := sc.feat().NewFloatSet()
-	for _, kp := range kps {
+	set := features.NewSet(a, false, len(kps), 64)
+	for i, kp := range kps {
 		angle := float32(0)
 		if !p.Upright {
 			angle = orientation(integral, kp)
 		}
-		desc := describe(integral, kp, angle, a)
+		describe(integral, kp, angle, set.FloatRow(i))
 		set.Keypoints = append(set.Keypoints, features.Keypoint{
 			X: kp.x, Y: kp.y, Size: kp.scale * 9.0 / 1.2,
 			Angle: angle, Response: kp.response, Octave: kp.octave,
 		})
-		set.Float = append(set.Float, desc)
 	}
-	return sc.feat().Finish(set)
+	return set
 }
 
 type surfKp struct {
@@ -469,10 +460,11 @@ var orientGauss = func() []float64 {
 	return t
 }()
 
-// describe computes the 64-d SURF descriptor: 4x4 subregions of a 20s
-// window, each summarising 5x5 Haar samples as [sum dx, sum |dx|,
-// sum dy, sum |dy|] in the keypoint's rotated frame.
-func describe(it *imaging.Integral, kp surfKp, angle float32, a *arena.Arena) []float32 {
+// describe writes the 64-d SURF descriptor into desc, a row of the
+// set's matrix: 4x4 subregions of a 20s window, each summarising 5x5
+// Haar samples as [sum dx, sum |dx|, sum dy, sum |dy|] in the
+// keypoint's rotated frame.
+func describe(it *imaging.Integral, kp surfKp, angle float32, desc []float32) {
 	s := float64(kp.scale)
 	if s < 1 {
 		s = 1
@@ -484,7 +476,6 @@ func describe(it *imaging.Integral, kp surfKp, angle float32, a *arena.Arena) []
 		haarSize = 2
 	}
 
-	desc := arena.Slice[float32](a, 64)
 	k := 0
 	for sr := -2; sr < 2; sr++ { // subregion rows
 		for sc := -2; sc < 2; sc++ {
@@ -529,5 +520,4 @@ func describe(it *imaging.Integral, kp surfKp, angle float32, a *arena.Arena) []
 			desc[i] = float32(float64(desc[i]) / norm)
 		}
 	}
-	return desc
 }

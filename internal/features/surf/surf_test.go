@@ -28,13 +28,14 @@ func TestExtractFindsBlobs(t *testing.T) {
 	if set.Len() == 0 {
 		t.Fatal("no SURF keypoints")
 	}
-	if set.IsBinary() {
+	if set.Binary {
 		t.Fatal("SURF descriptors must be float")
 	}
-	for _, d := range set.Float {
-		if len(d) != 64 {
-			t.Fatalf("descriptor length = %d, want 64", len(d))
-		}
+	if set.Dim != 64 {
+		t.Fatalf("descriptor length = %d, want 64", set.Dim)
+	}
+	for i := 0; i < set.Len(); i++ {
+		d := set.FloatRow(i)
 		var norm float64
 		for _, v := range d {
 			norm += float64(v) * float64(v)
@@ -69,11 +70,9 @@ func TestDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Float {
-		for j := range a.Float[i] {
-			if a.Float[i][j] != b.Float[i][j] {
-				t.Fatal("not deterministic")
-			}
+	for i := range a.Floats {
+		if a.Floats[i] != b.Floats[i] {
+			t.Fatal("not deterministic")
 		}
 	}
 }

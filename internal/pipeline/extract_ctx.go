@@ -14,8 +14,7 @@ import (
 // the imaging, feature-set and extractor layers, plus each extractor's
 // recycled accumulators. A warm context performs a steady-state query
 // extraction — grayscale conversion, pyramids/integral tables, detector
-// sweeps, descriptor rows, and the packed matrix — with zero heap
-// allocations.
+// sweeps and the descriptor matrix — with zero heap allocations.
 //
 // A context is single-owner: it serves one extraction at a time, and
 // the Set that extraction returned is invalid once Reset runs. The
@@ -25,7 +24,6 @@ import (
 // warmed context.
 type ExtractCtx struct {
 	arena *arena.Arena
-	feat  features.Scratch
 	sift  sift.Scratch
 	surf  surf.Scratch
 	orb   orb.Scratch
@@ -41,10 +39,9 @@ type ExtractCtx struct {
 // first queries and recycled afterwards.
 func NewExtractCtx() *ExtractCtx {
 	c := &ExtractCtx{arena: arena.New()}
-	c.feat.A = c.arena
-	c.sift = sift.Scratch{A: c.arena, Feat: &c.feat}
-	c.surf = surf.Scratch{A: c.arena, Feat: &c.feat}
-	c.orb = orb.Scratch{A: c.arena, Feat: &c.feat}
+	c.sift.A = c.arena
+	c.surf.A = c.arena
+	c.orb.A = c.arena
 	return c
 }
 

@@ -27,13 +27,13 @@ func noiseImage(r *rng.RNG, w, h int) *imaging.Image {
 }
 
 // setsBitIdentical asserts two descriptor sets match bit for bit:
-// keypoints, descriptor rows and the packed mirror.
+// keypoints, representation, widths and the descriptor matrix.
 func setsBitIdentical(t *testing.T, label string, fresh, pooled *features.Set) {
 	t.Helper()
 	if fresh.Len() != pooled.Len() {
 		t.Fatalf("%s: %d keypoints, fresh has %d", label, pooled.Len(), fresh.Len())
 	}
-	if fresh.IsBinary() != pooled.IsBinary() {
+	if fresh.Binary != pooled.Binary {
 		t.Fatalf("%s: representation mismatch", label)
 	}
 	for i := range fresh.Keypoints {
@@ -41,35 +41,18 @@ func setsBitIdentical(t *testing.T, label string, fresh, pooled *features.Set) {
 			t.Fatalf("%s: keypoint %d = %+v, fresh %+v", label, i, pooled.Keypoints[i], fresh.Keypoints[i])
 		}
 	}
-	for i := range fresh.Float {
-		for j := range fresh.Float[i] {
-			if math.Float32bits(fresh.Float[i][j]) != math.Float32bits(pooled.Float[i][j]) {
-				t.Fatalf("%s: float row %d component %d differs", label, i, j)
-			}
+	if fresh.Dim != pooled.Dim || fresh.WordsPerRow != pooled.WordsPerRow || fresh.RowBytes != pooled.RowBytes ||
+		len(fresh.Floats) != len(pooled.Floats) || len(fresh.Words) != len(pooled.Words) {
+		t.Fatalf("%s: matrix shape differs: %+v vs %+v", label, pooled, fresh)
+	}
+	for i := range fresh.Floats {
+		if math.Float32bits(fresh.Floats[i]) != math.Float32bits(pooled.Floats[i]) {
+			t.Fatalf("%s: float %d differs", label, i)
 		}
 	}
-	for i := range fresh.Binary {
-		for j := range fresh.Binary[i] {
-			if fresh.Binary[i][j] != pooled.Binary[i][j] {
-				t.Fatalf("%s: binary row %d byte %d differs", label, i, j)
-			}
-		}
-	}
-	fp, pp := fresh.Packed, pooled.Packed
-	if fp == nil || pp == nil {
-		t.Fatalf("%s: extractor returned an unpacked set", label)
-	}
-	if fp.N != pp.N || fp.Dim != pp.Dim || fp.WordsPerRow != pp.WordsPerRow || fp.RowBytes != pp.RowBytes {
-		t.Fatalf("%s: packed shape differs: %+v vs %+v", label, pp, fp)
-	}
-	for i := range fp.Floats {
-		if math.Float32bits(fp.Floats[i]) != math.Float32bits(pp.Floats[i]) {
-			t.Fatalf("%s: packed float %d differs", label, i)
-		}
-	}
-	for i := range fp.Words {
-		if fp.Words[i] != pp.Words[i] {
-			t.Fatalf("%s: packed word %d differs", label, i)
+	for i := range fresh.Words {
+		if fresh.Words[i] != pooled.Words[i] {
+			t.Fatalf("%s: word %d differs", label, i)
 		}
 	}
 }

@@ -182,16 +182,10 @@ func (g *Gallery) descriptorIndex(kind DescriptorKind, p DescriptorParams) *Desc
 	return ix
 }
 
-// DescriptorIndexFor exposes the flat matching index to the serving and
-// snapshot layers: it returns the cached index for the kind, building it
-// (and any missing descriptor sets) on first use.
-func (g *Gallery) DescriptorIndexFor(kind DescriptorKind, p DescriptorParams) *DescriptorIndex {
-	return g.descriptorIndex(kind, p)
-}
-
-// MatchIndexFor returns the matching engine for the kind: the
-// gallery's flat index, built (and cached) on first use.
-func (g *Gallery) MatchIndexFor(kind DescriptorKind, p DescriptorParams) MatchIndex {
+// MatchIndexFor returns the gallery's flat index for the kind,
+// building it (and any missing descriptor sets) on first use and
+// caching it.
+func (g *Gallery) MatchIndexFor(kind DescriptorKind, p DescriptorParams) *DescriptorIndex {
 	return g.descriptorIndex(kind, p)
 }
 

@@ -56,7 +56,7 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 			continue
 		}
 		total += s.Len()
-		if s.IsBinary() {
+		if s.Binary {
 			ix.Binary = true
 		}
 	}
@@ -74,12 +74,11 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 			if s == nil || s.Len() == 0 {
 				continue
 			}
-			p := s.Pack().Packed
 			if ix.WordsPerRow == 0 {
-				ix.WordsPerRow = p.WordsPerRow
-				ix.Words = make([]uint64, total*p.WordsPerRow)
+				ix.WordsPerRow = s.WordsPerRow
+				ix.Words = make([]uint64, total*s.WordsPerRow)
 			}
-			if p.WordsPerRow != ix.WordsPerRow || !s.IsBinary() {
+			if s.WordsPerRow != ix.WordsPerRow || !s.Binary {
 				panic("pipeline: inconsistent descriptor sets in index")
 			}
 		}
@@ -88,8 +87,7 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 			if s == nil || s.Len() == 0 {
 				continue
 			}
-			p := s.Packed
-			copy(ix.Words[off*ix.WordsPerRow:], p.Words)
+			copy(ix.Words[off*ix.WordsPerRow:], s.Words)
 			off += s.Len()
 		}
 		return ix
@@ -99,12 +97,11 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 		if s == nil || s.Len() == 0 {
 			continue
 		}
-		p := s.Pack().Packed
 		if ix.Dim == 0 {
-			ix.Dim = p.Dim
-			ix.Floats = make([]float32, total*p.Dim)
+			ix.Dim = s.Dim
+			ix.Floats = make([]float32, total*s.Dim)
 		}
-		if p.Dim != ix.Dim || s.IsBinary() {
+		if s.Dim != ix.Dim || s.Binary {
 			panic("pipeline: inconsistent descriptor sets in index")
 		}
 	}
@@ -113,7 +110,7 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 		if s == nil || s.Len() == 0 {
 			continue
 		}
-		copy(ix.Floats[off*ix.Dim:], s.Packed.Floats)
+		copy(ix.Floats[off*ix.Dim:], s.Floats)
 		off += s.Len()
 	}
 	return ix
@@ -122,9 +119,9 @@ func NewDescriptorIndex(sets []*features.Set) *DescriptorIndex {
 // RestoreDescriptorIndex rebuilds a flat index over restored descriptor
 // sets, aliasing pre-concatenated storage instead of copying it — the
 // snapshot loader's constructor. floats (and words, for binary sets)
-// must be exactly the view-order concatenation of the sets' packed rows,
-// which is how the v2 snapshot blob lays a family out; this is verified
-// by pointer identity against every set's own packed block, and any
+// must be exactly the view-order concatenation of the sets' rows, which
+// is how the v2 snapshot blob lays a family out; this is verified by
+// pointer identity against every set's own matrix, and any
 // mismatch (including nil storage, the v1 path) falls back to the
 // copying NewDescriptorIndex build. Either way the result is
 // bit-identical to NewDescriptorIndex(sets): same Starts, same scan
@@ -137,12 +134,11 @@ func RestoreDescriptorIndex(sets []*features.Set, floats []float32, words []uint
 		if s == nil || s.Len() == 0 {
 			continue
 		}
-		p := s.Pack().Packed
-		if s.IsBinary() {
+		if s.Binary {
 			skel.Binary = true
-			skel.WordsPerRow = p.WordsPerRow
+			skel.WordsPerRow = s.WordsPerRow
 		} else {
-			skel.Dim = p.Dim
+			skel.Dim = s.Dim
 		}
 		off += s.Len()
 	}
@@ -156,18 +152,17 @@ func RestoreDescriptorIndex(sets []*features.Set, floats []float32, words []uint
 	}
 	if aliased {
 		// The storage must BE the concatenation, not merely equal it:
-		// each set's packed block has to sit at its own row offset of
-		// the shared backing array.
+		// each set's matrix has to sit at its own row offset of the
+		// shared backing array.
 		for v, s := range sets {
 			if s == nil || s.Len() == 0 {
 				continue
 			}
-			p := s.Packed
 			start := skel.Starts[v]
 			if skel.Binary {
-				aliased = aliased && len(p.Words) > 0 && &p.Words[0] == &words[start*skel.WordsPerRow]
+				aliased = aliased && len(s.Words) > 0 && &s.Words[0] == &words[start*skel.WordsPerRow]
 			} else {
-				aliased = aliased && len(p.Floats) > 0 && &p.Floats[0] == &floats[start*skel.Dim]
+				aliased = aliased && len(s.Floats) > 0 && &s.Floats[0] == &floats[start*skel.Dim]
 			}
 			if !aliased {
 				break
@@ -231,8 +226,6 @@ func (ix *DescriptorIndex) GoodMatchCounts(query *features.Set, ratio float64, c
 // query descriptors whose within-view 2-NN pass Lowe's ratio test —
 // exactly match.GoodMatchCount(query, view, ratio) per view, computed
 // in one pass over the flat matrix. The whole scan books as match time.
-// Concurrent callers must pass a query whose Packed mirror is already
-// built (extractors do; hand-assembled sets need Set.Pack).
 //
 //snmatch:noalloc
 func (ix *DescriptorIndex) Scan(ctx context.Context, query *features.Set, ratio float64, counts []int32, v0, v1 int, tr *obs.Trace) error {
@@ -252,14 +245,13 @@ func (ix *DescriptorIndex) scan(ctx context.Context, query *features.Set, ratio 
 	if query.Len() == 0 || ix.Len() == 0 {
 		return nil
 	}
-	if query.IsBinary() != ix.Binary {
+	if query.Binary != ix.Binary {
 		panic("match: mixed descriptor representations")
 	}
-	qp := query.Pack().Packed
 	if ix.Binary {
-		return ix.binaryCounts(ctx, qp, ratio, counts, v0, v1)
+		return ix.binaryCounts(ctx, query, ratio, counts, v0, v1)
 	}
-	return ix.floatCounts(ctx, qp, ratio, counts, v0, v1)
+	return ix.floatCounts(ctx, query, ratio, counts, v0, v1)
 }
 
 // floatCounts is the float kernel. It scans view by view: the query
@@ -267,16 +259,16 @@ func (ix *DescriptorIndex) scan(ctx context.Context, query *features.Set, ratio 
 // a view's rows in one simd.Lane2NN call, whose lanes each run the
 // scalar 2-NN fold of one query row. The deadline is checked once per
 // view.
-func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
-	if qp.Dim != ix.Dim {
+func (ix *DescriptorIndex) floatCounts(ctx context.Context, q *features.Set, ratio float64, counts []int32, v0, v1 int) error {
+	if q.Dim != ix.Dim {
 		panic("pipeline: query descriptor width does not match index")
 	}
-	dim := ix.Dim
+	dim, n := ix.Dim, q.Len()
 	block := simd.Lanes * dim
-	lp := getScratch[float32](&ix.lanes, simd.LaneBlocks(qp.N)*block)
+	lp := getScratch[float32](&ix.lanes, simd.LaneBlocks(n)*block)
 	defer ix.lanes.Put(lp)
 	qt := *lp
-	simd.TransposeLanes(qt, qp.Floats[:qp.N*dim], dim)
+	simd.TransposeLanes(qt, q.Floats[:n*dim], dim)
 	for v := v0; v < v1; v++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -286,9 +278,9 @@ func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed,
 			continue // a view needs two neighbours for the ratio test
 		}
 		rows := ix.Floats[start*dim : end*dim]
-		for b := 0; b*simd.Lanes < qp.N; b++ {
+		for b := 0; b*simd.Lanes < n; b++ {
 			s1, s2 := simd.Lane2NN(qt[b*block:(b+1)*block], rows, dim)
-			for l := range min(simd.Lanes, qp.N-b*simd.Lanes) {
+			for l := range min(simd.Lanes, n-b*simd.Lanes) {
 				if float64(sqrt32(s1[l])) < ratio*float64(sqrt32(s2[l])) {
 					counts[v]++
 				}
@@ -302,19 +294,19 @@ func (ix *DescriptorIndex) floatCounts(ctx context.Context, qp *features.Packed,
 // query rows are transposed into simd.HammingLanes-wide blocks and
 // each block meets a view's rows in one simd.HammingLane2NN call. The
 // deadline is checked once per view.
-func (ix *DescriptorIndex) binaryCounts(ctx context.Context, qp *features.Packed, ratio float64, counts []int32, v0, v1 int) error {
-	if qp.WordsPerRow != ix.WordsPerRow {
+func (ix *DescriptorIndex) binaryCounts(ctx context.Context, q *features.Set, ratio float64, counts []int32, v0, v1 int) error {
+	if q.WordsPerRow != ix.WordsPerRow {
 		panic("pipeline: query descriptor width does not match index")
 	}
-	wpr := ix.WordsPerRow
+	wpr, n := ix.WordsPerRow, q.Len()
 	if wpr == 0 {
 		return nil // zero-width rows: every distance is 0, which never passes the strict ratio test
 	}
 	block := simd.HammingLanes * wpr
-	wp := getScratch[uint64](&ix.wordLanes, simd.HammingBlocks(qp.N)*block)
+	wp := getScratch[uint64](&ix.wordLanes, simd.HammingBlocks(n)*block)
 	defer ix.wordLanes.Put(wp)
 	qt := *wp
-	simd.TransposeHammingLanes(qt, qp.Words[:qp.N*wpr], wpr)
+	simd.TransposeHammingLanes(qt, q.Words[:n*wpr], wpr)
 	for v := v0; v < v1; v++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -324,9 +316,9 @@ func (ix *DescriptorIndex) binaryCounts(ctx context.Context, qp *features.Packed
 			continue
 		}
 		rows := ix.Words[start*wpr : end*wpr]
-		for b := 0; b*simd.HammingLanes < qp.N; b++ {
+		for b := 0; b*simd.HammingLanes < n; b++ {
 			s1, s2 := simd.HammingLane2NN(qt[b*block:(b+1)*block], rows, wpr)
-			for l := range min(simd.HammingLanes, qp.N-b*simd.HammingLanes) {
+			for l := range min(simd.HammingLanes, n-b*simd.HammingLanes) {
 				if float64(float32(s1[l])) < ratio*float64(float32(s2[l])) {
 					counts[v]++
 				}

@@ -8,9 +8,9 @@ import (
 	"snmatch/internal/features"
 )
 
-// concatSets builds n random sets whose packed storage is carved out of
-// one shared backing array — the snapshot v2 blob layout — and returns
-// the sets plus the concatenated storage.
+// concatSets builds n random sets whose matrices are carved out of one
+// shared backing array — the snapshot v2 blob layout — and returns the
+// sets plus the concatenated storage.
 func concatSets(rng *rand.Rand, n, dim int, binary bool) ([]*features.Set, []float32, []uint64) {
 	counts := make([]int, n)
 	total := 0
@@ -38,21 +38,16 @@ func concatSets(rng *rand.Rand, n, dim int, binary bool) ([]*features.Set, []flo
 	sets := make([]*features.Set, n)
 	off := 0
 	for i, c := range counts {
-		p := &features.Packed{N: c}
-		kps := make([]features.Keypoint, c)
-		if binary {
-			p.RowBytes = dim
-			p.WordsPerRow = wpr
-			if c > 0 {
-				p.Words = words[off*wpr : (off+c)*wpr]
-			} else {
-				p.Words = []uint64{}
-			}
+		s := &features.Set{Keypoints: make([]features.Keypoint, c), Binary: binary}
+		if c > 0 && binary {
+			s.RowBytes = dim
+			s.WordsPerRow = wpr
+			s.Words = words[off*wpr : (off+c)*wpr]
 		} else if c > 0 {
-			p.Dim = dim
-			p.Floats = floats[off*dim : (off+c)*dim]
+			s.Dim = dim
+			s.Floats = floats[off*dim : (off+c)*dim]
 		}
-		sets[i] = features.RestoreSet(kps, p)
+		sets[i] = s
 		off += c
 	}
 	return sets, floats, words

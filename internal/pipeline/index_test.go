@@ -28,32 +28,60 @@ func (p *Descriptor) classifyPerView(img *imaging.Image, g *Gallery) Prediction 
 	return best
 }
 
-// randFloatSet draws integer-valued components so distances are exact
-// and small vocabularies produce genuine ties.
-func randFloatSet(r *rng.RNG, n, dim, vocab int) *features.Set {
-	s := &features.Set{}
-	for i := 0; i < n; i++ {
-		d := make([]float32, dim)
-		for j := range d {
-			d[j] = float32(r.Intn(vocab))
-		}
-		s.Float = append(s.Float, d)
+// floatSet lays float rows out as a set's matrix.
+func floatSet(rows [][]float32) *features.Set {
+	dim := 0
+	if len(rows) > 0 {
+		dim = len(rows[0])
+	}
+	s := features.NewSet(nil, false, len(rows), dim)
+	for i, d := range rows {
+		copy(s.FloatRow(i), d)
 		s.Keypoints = append(s.Keypoints, features.Keypoint{})
 	}
 	return s
 }
 
-func randBinarySet(r *rng.RNG, n, bytes int) *features.Set {
-	s := &features.Set{}
-	for i := 0; i < n; i++ {
-		d := make([]byte, bytes)
-		for j := range d {
-			d[j] = byte(r.Intn(256))
+// binarySet packs byte rows little-endian into a set's word rows, the
+// layout BRIEF writes.
+func binarySet(rows [][]byte, bytes int) *features.Set {
+	s := features.NewSet(nil, true, len(rows), bytes)
+	for i, d := range rows {
+		row := s.WordRow(i)
+		for b, v := range d {
+			row[b/8] |= uint64(v) << (8 * (b % 8))
 		}
-		s.Binary = append(s.Binary, d)
 		s.Keypoints = append(s.Keypoints, features.Keypoint{})
 	}
 	return s
+}
+
+// randFloatSet draws integer-valued components so distances are exact
+// and small vocabularies produce genuine ties.
+func randFloatSet(r *rng.RNG, n, dim, vocab int) *features.Set {
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = make([]float32, dim)
+		for j := range rows[i] {
+			rows[i][j] = float32(r.Intn(vocab))
+		}
+	}
+	return floatSet(rows)
+}
+
+func randBinaryRows(r *rng.RNG, n, bytes int) [][]byte {
+	rows := make([][]byte, n)
+	for i := range rows {
+		rows[i] = make([]byte, bytes)
+		for j := range rows[i] {
+			rows[i][j] = byte(r.Intn(256))
+		}
+	}
+	return rows
+}
+
+func randBinarySet(r *rng.RNG, n, bytes int) *features.Set {
+	return binarySet(randBinaryRows(r, n, bytes), bytes)
 }
 
 // TestDescriptorIndexMatchesPerViewCounts is the index's exactness
@@ -106,9 +134,9 @@ func TestDescriptorIndexMatchesPerViewCounts(t *testing.T) {
 // the flat scan's counts must equal the per-view reference exactly.
 func TestDescriptorIndexExactAtLargeNorms(t *testing.T) {
 	r := rng.New(131)
-	mixedSet := func(n int) *features.Set {
-		s := &features.Set{}
-		for i := 0; i < n; i++ {
+	mixedRows := func(n int) [][]float32 {
+		rows := make([][]float32, n)
+		for i := range rows {
 			d := make([]float32, 128)
 			base := float32(0)
 			if r.Intn(2) == 1 {
@@ -117,29 +145,30 @@ func TestDescriptorIndexExactAtLargeNorms(t *testing.T) {
 			for j := range d {
 				d[j] = base + float32(r.Intn(16))
 			}
-			s.Float = append(s.Float, d)
-			s.Keypoints = append(s.Keypoints, features.Keypoint{})
+			rows[i] = d
 		}
-		return s
+		return rows
 	}
 	for trial := 0; trial < 10; trial++ {
-		sets := make([]*features.Set, 4)
-		for v := range sets {
-			sets[v] = mixedSet(2 + r.Intn(6))
+		views := make([][][]float32, 4)
+		for v := range views {
+			views[v] = mixedRows(2 + r.Intn(6))
 		}
-		query := mixedSet(6)
-		for _, s := range sets {
+		qrows := mixedRows(6)
+		sets := make([]*features.Set, len(views))
+		for v, rows := range views {
 			for i := 0; i < 6; i++ {
-				q := query.Float[r.Intn(len(query.Float))]
+				q := qrows[r.Intn(len(qrows))]
 				c := float32(1 + r.Range(-1, 1)*1e-3)
 				d := make([]float32, len(q))
 				for j, x := range q {
 					d[j] = c * x
 				}
-				s.Float = append(s.Float, d)
-				s.Keypoints = append(s.Keypoints, features.Keypoint{})
+				rows = append(rows, d)
 			}
+			sets[v] = floatSet(rows)
 		}
+		query := floatSet(qrows)
 		ix := NewDescriptorIndex(sets)
 		counts := make([]int32, len(sets))
 		for ratio := 0.05; ratio <= 1; ratio += 0.05 {
@@ -191,7 +220,7 @@ func TestDescriptorIndexCountsAllocationFree(t *testing.T) {
 		sets[v] = randFloatSet(r, 12, 16, 7)
 	}
 	ix := NewDescriptorIndex(sets)
-	query := randFloatSet(r, 10, 16, 7).Pack()
+	query := randFloatSet(r, 10, 16, 7)
 	counts := make([]int32, len(sets))
 	if n := testing.AllocsPerRun(50, func() { ix.GoodMatchCounts(query, 0.5, counts) }); n != 0 {
 		t.Errorf("float GoodMatchCounts allocates %v per run", n)
@@ -201,7 +230,7 @@ func TestDescriptorIndexCountsAllocationFree(t *testing.T) {
 		bsets[v] = randBinarySet(r, 12, 4)
 	}
 	bix := NewDescriptorIndex(bsets)
-	bquery := randBinarySet(r, 10, 4).Pack()
+	bquery := randBinarySet(r, 10, 4)
 	if n := testing.AllocsPerRun(50, func() { bix.GoodMatchCounts(bquery, 0.5, counts) }); n != 0 {
 		t.Errorf("binary GoodMatchCounts allocates %v per run", n)
 	}
@@ -230,14 +259,13 @@ func TestClassifyFlatMatchesPerView(t *testing.T) {
 
 	r := rng.New(29)
 	for trial := 0; trial < 40; trial++ {
-		vocab := randBinarySet(r, 2+r.Intn(9), 32).Binary
+		vocab := randBinaryRows(r, 2+r.Intn(9), 32)
 		draw := func(n int) *features.Set {
-			s := &features.Set{}
-			for i := 0; i < n; i++ {
-				s.Binary = append(s.Binary, vocab[r.Intn(len(vocab))])
-				s.Keypoints = append(s.Keypoints, features.Keypoint{})
+			rows := make([][]byte, n)
+			for i := range rows {
+				rows[i] = vocab[r.Intn(len(vocab))]
 			}
-			return s
+			return binarySet(rows, 32)
 		}
 		sets := []*features.Set{draw(0), draw(1), draw(2)}
 		for v := r.Intn(6); v > 0; v-- {

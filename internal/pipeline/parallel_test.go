@@ -223,9 +223,6 @@ func TestRunParallelClampsNonPositiveWorkers(t *testing.T) {
 		pred, _ := RunParallel(ShapeOnly{Method: moments.MatchI1}, sns2, gallery1, w)
 		classesEqual(t, "clamped", serialPred, pred)
 	}
-	bc := NewBatchClassifier(ShapeOnly{Method: moments.MatchI1}, -7)
-	pred, _ := bc.Run(sns2, gallery1)
-	classesEqual(t, "batch clamped", serialPred, pred)
 }
 
 // TestConcurrentClassifySharedGallery is the -race stress test for the

@@ -72,25 +72,3 @@ func RunParallel(p Pipeline, queries *dataset.Set, g *Gallery, workers int) (pre
 	}
 	return pred, truth
 }
-
-// BatchClassifier bundles a pipeline with a worker budget. It is the
-// entry point the binaries and the experiment harness use for query-set
-// classification; single-image Classify passes through untouched.
-type BatchClassifier struct {
-	Pipeline Pipeline
-	Workers  int // pool size; <= 0 selects one worker per CPU
-}
-
-// NewBatchClassifier wraps a pipeline for pooled classification.
-func NewBatchClassifier(p Pipeline, workers int) *BatchClassifier {
-	return &BatchClassifier{Pipeline: p, Workers: workers}
-}
-
-// Name returns the wrapped pipeline's name.
-func (c *BatchClassifier) Name() string { return c.Pipeline.Name() }
-
-// Run classifies the query set across the pool, with output identical
-// to the serial pipeline.Run.
-func (c *BatchClassifier) Run(queries *dataset.Set, g *Gallery) (pred, truth []synth.Class) {
-	return RunParallel(c.Pipeline, queries, g, c.Workers)
-}

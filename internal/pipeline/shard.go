@@ -11,8 +11,8 @@ import (
 	"snmatch/internal/parallel"
 )
 
-// ShardedIndex splits a matching index into contiguous view ranges at
-// the flat index's Starts boundaries, so one query can be scanned by
+// ShardedIndex splits a flat index into contiguous view ranges at its
+// Starts boundaries, so one query can be scanned by
 // several workers at once. Shards never cut through a view: the
 // within-view 2-NN search and ratio test are evaluated by exactly one
 // shard with exactly the arithmetic of the unsharded scan, and every
@@ -25,16 +25,15 @@ import (
 // by view count: galleries with uneven views per class still split into
 // near-equal work.
 type ShardedIndex struct {
-	mi    MatchIndex
+	ix    *DescriptorIndex
 	spans []parallel.Span // non-empty view ranges partitioning [0, NumViews)
 }
 
-// NewShardedIndex shards mi into at most `shards` row-balanced view
+// NewShardedIndex shards ix into at most `shards` row-balanced view
 // ranges (shards <= 1 keeps the whole index as one shard; a shard count
 // beyond the view count degrades to one view per shard).
-func NewShardedIndex(mi MatchIndex, shards int) *ShardedIndex {
-	ix := mi.Flat()
-	sx := &ShardedIndex{mi: mi}
+func NewShardedIndex(ix *DescriptorIndex, shards int) *ShardedIndex {
+	sx := &ShardedIndex{ix: ix}
 	nv := ix.NumViews
 	if shards < 1 {
 		shards = 1
@@ -74,7 +73,7 @@ func NewShardedIndex(mi MatchIndex, shards int) *ShardedIndex {
 }
 
 // Flat implements MatchIndex.
-func (sx *ShardedIndex) Flat() *DescriptorIndex { return sx.mi.Flat() }
+func (sx *ShardedIndex) Flat() *DescriptorIndex { return sx.ix }
 
 // Spans returns a copy of the shard view ranges.
 func (sx *ShardedIndex) Spans() []parallel.Span {
@@ -89,7 +88,7 @@ func (sx *ShardedIndex) Spans() []parallel.Span {
 //
 //snmatch:noalloc
 func (sx *ShardedIndex) GoodMatchCounts(query *features.Set, ratio float64, counts []int32) {
-	_ = sx.Scan(context.Background(), query, ratio, counts, 0, sx.mi.Flat().NumViews, nil)
+	_ = sx.Scan(context.Background(), query, ratio, counts, 0, sx.ix.NumViews, nil)
 }
 
 // Scan implements MatchIndex by scanning the shards' intersections with
@@ -104,8 +103,6 @@ func (sx *ShardedIndex) Scan(ctx context.Context, query *features.Set, ratio flo
 	if len(sx.spans) <= 1 {
 		return sx.scanSpan(ctx, query, ratio, counts, v0, v1, tr)
 	}
-	// Build the packed mirror before the fan-out shares it.
-	query.Pack()
 	parallel.ForEach(len(sx.spans), len(sx.spans), func(s int) { //lint:allow noalloc one fan-out closure per sharded scan, amortized over the shards it launches; the flat path stays 0 allocs/op
 		sp := sx.spans[s]
 		if lo, hi := max(sp.Start, v0), min(sp.End, v1); lo < hi {
@@ -130,7 +127,7 @@ func (sx *ShardedIndex) scanSpan(ctx context.Context, query *features.Set, ratio
 	if ferr := fault.Check(fault.ShardScan); ferr != nil {
 		panic(ferr)
 	}
-	return sx.mi.Scan(ctx, query, ratio, counts, v0, v1, tr)
+	return sx.ix.Scan(ctx, query, ratio, counts, v0, v1, tr)
 }
 
 // ShardedGallery pairs a prepared Gallery with per-kind sharded indexes,

@@ -11,10 +11,10 @@ import (
 )
 
 // Mapping is a gallery snapshot whose large payloads alias a read-only
-// memory mapping of the file: Snap.Gallery's packed descriptor
-// matrices, histogram bins and image planes point straight into the
-// page cache, so Map costs O(structure) time and no descriptor-byte
-// copies (see v2.go for what Map verifies).
+// memory mapping of the file: Snap.Gallery's descriptor matrices,
+// histogram bins and image planes point straight into the page cache,
+// so Map costs O(structure) time and no descriptor-byte copies (see
+// v2.go for what Map verifies).
 //
 // The gallery is only valid while the mapping is. Lifetime is
 // reference-counted: Map returns the handle holding one reference;
@@ -22,9 +22,9 @@ import (
 // retains per in-flight request, so a gallery replaced under traffic is
 // unmapped only after the last request classifying on it answers), and Close
 // drops the creator's reference. When the count reaches zero the file
-// is unmapped and any later touch of the gallery's borrowed storage is
-// a use-after-unmap bug — which is why every borrowed Packed block is
-// marked Borrowed and pooling code must never recycle one.
+// is unmapped and any later touch of the gallery's mapped storage is a
+// use-after-unmap bug, so nothing may recycle or retain a mapped set's
+// matrix past its Release.
 type Mapping struct {
 	Snap *Snapshot
 
@@ -72,7 +72,7 @@ func Map(path string) (*Mapping, error) {
 	// every page and void the O(structure) boot); the heap-read
 	// fallback has already paid the O(bytes) read, so there the check
 	// is free and Map keeps Load's full integrity.
-	snap, err := readV2(data, !mapped, mapped)
+	snap, err := readV2(data, !mapped)
 	if err != nil {
 		if mapped {
 			unmapMem(data)

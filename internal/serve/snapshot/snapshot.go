@@ -186,8 +186,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	case Version:
 		// Heap loads alias the read buffer too (one backing array, no
 		// per-field copies); it just lives on the GC heap instead of a
-		// mapping, so nothing is marked borrowed.
-		return readV2(ensureAligned8(raw), true, false)
+		// mapping.
+		return readV2(ensureAligned8(raw), true)
 	default:
 		return nil, fmt.Errorf("%w: file version %d, supported versions %d and %d", ErrVersion, v, VersionV1, Version)
 	}
@@ -275,12 +275,11 @@ func buildIndexes(views []pipeline.View, kinds []pipeline.DescriptorKind, region
 			if s.Len() == 0 {
 				continue
 			}
-			p := s.Packed
 			if !have {
-				have, binary, dim, wpr = true, s.IsBinary(), p.Dim, p.WordsPerRow
+				have, binary, dim, wpr = true, s.Binary, s.Dim, s.WordsPerRow
 				continue
 			}
-			if s.IsBinary() != binary || p.Dim != dim || p.WordsPerRow != wpr {
+			if s.Binary != binary || s.Dim != dim || s.WordsPerRow != wpr {
 				return nil, fmt.Errorf("%w: index kind %s mixes descriptor shapes (view %d)", ErrCorrupt, k, i)
 			}
 		}
@@ -492,20 +491,20 @@ func b2u8(v bool) uint8 {
 const keypointEnc = 5*4 + 8
 
 func encodeSetV1(e *enc, s *features.Set) {
-	p := s.Pack().Packed
 	// The representation flag disambiguates empty sets: an empty binary
-	// set and an empty float set have identical packed shapes but must
-	// restore to their original representation.
-	e.u8(b2u8(s.IsBinary()))
+	// set and an empty float set have identical (zero) widths but must
+	// restore to their original representation. The row count is
+	// stored twice, as the keypoint count and as the matrix's.
+	e.u8(b2u8(s.Binary))
 	e.u32(uint32(len(s.Keypoints)))
 	encodeKeypoints(e, s.Keypoints)
-	e.u32(uint32(p.N))
-	e.u32(uint32(p.Dim))
-	e.u32(uint32(p.RowBytes))
-	e.u32(uint32(p.WordsPerRow))
-	e.f32s(p.Floats)
-	e.f32s(rowNorms(p))
-	e.u64s(p.Words)
+	e.u32(uint32(s.Len()))
+	e.u32(uint32(s.Dim))
+	e.u32(uint32(s.RowBytes))
+	e.u32(uint32(s.WordsPerRow))
+	e.f32s(s.Floats)
+	e.f32s(rowNorms(s))
+	e.u64s(s.Words)
 }
 
 func encodeKeypoints(e *enc, kps []features.Keypoint) {
@@ -555,75 +554,67 @@ func decodeKeypoints(d *dec, a *features.RestoreAlloc) []features.Keypoint {
 // rowNorms returns the squared L2 norm of every float row: the norm
 // block both formats store after the rows. Readers check its length and
 // drop the values, so the writers compute it from the rows instead of
-// carrying it on every packed set.
-func rowNorms(p *features.Packed) []float32 {
-	if p.Dim == 0 {
+// carrying it on every set.
+func rowNorms(s *features.Set) []float32 {
+	if s.Dim == 0 {
 		return nil
 	}
-	out := make([]float32, p.N)
+	out := make([]float32, s.Len())
 	for i := range out {
-		out[i] = features.L2Squared(p.FloatRow(i), nil)
+		out[i] = features.L2Squared(s.FloatRow(i), nil)
 	}
 	return out
 }
 
-// checkPackedShape validates a decoded packed block against its
-// recorded representation flag and keypoint count; norms is the
-// length of the stored norm block. All arithmetic is division-based:
-// the counts come off the wire as raw u32s, so products like N*Dim
-// could overflow and alias a crafted length. Returns false (failing
-// the decoder) on any mismatch.
-func checkPackedShape(d *dec, p *features.Packed, norms int, isBinary bool, nk int) bool {
-	ok := p.N == nk
-	if isBinary {
-		ok = ok && p.Dim == 0 && len(p.Floats) == 0 && norms == 0
-		ok = ok && (p.RowBytes > 0) == (p.WordsPerRow > 0)
-		ok = ok && p.WordsPerRow == (p.RowBytes+7)/8
-		if p.WordsPerRow == 0 {
-			ok = ok && len(p.Words) == 0
+// checkSetShape validates a decoded set's matrix against its recorded
+// representation and keypoints; n is the stored row count and norms
+// the length of the stored norm block. All arithmetic is
+// division-based: the counts come off the wire as raw u32s, so
+// products like n*Dim could overflow and alias a crafted length.
+// Returns false (failing the decoder) on any mismatch.
+func checkSetShape(d *dec, s *features.Set, n, norms int) bool {
+	ok := n == s.Len()
+	if s.Binary {
+		ok = ok && s.Dim == 0 && len(s.Floats) == 0 && norms == 0
+		ok = ok && (s.RowBytes > 0) == (s.WordsPerRow > 0)
+		ok = ok && s.WordsPerRow == (s.RowBytes+7)/8
+		if s.WordsPerRow == 0 {
+			ok = ok && len(s.Words) == 0
 		} else {
-			ok = ok && len(p.Words)%p.WordsPerRow == 0 && len(p.Words)/p.WordsPerRow == p.N
+			ok = ok && len(s.Words)%s.WordsPerRow == 0 && len(s.Words)/s.WordsPerRow == n
 		}
 	} else {
-		ok = ok && p.RowBytes == 0 && p.WordsPerRow == 0 && len(p.Words) == 0
-		if p.Dim == 0 {
-			ok = ok && len(p.Floats) == 0 && norms == 0
+		ok = ok && s.RowBytes == 0 && s.WordsPerRow == 0 && len(s.Words) == 0
+		if s.Dim == 0 {
+			ok = ok && len(s.Floats) == 0 && norms == 0
 		} else {
-			ok = ok && len(p.Floats)%p.Dim == 0 && len(p.Floats)/p.Dim == p.N && norms == p.N
+			ok = ok && len(s.Floats)%s.Dim == 0 && len(s.Floats)/s.Dim == n && norms == n
 		}
 	}
 	if !ok {
-		d.fail("packed block shape mismatch (N=%d dim=%d rowBytes=%d wpr=%d)", p.N, p.Dim, p.RowBytes, p.WordsPerRow)
+		d.fail("descriptor matrix shape mismatch (N=%d dim=%d rowBytes=%d wpr=%d)", n, s.Dim, s.RowBytes, s.WordsPerRow)
 	}
 	return ok
 }
 
 func decodeSetV1(d *dec) *features.Set {
-	isBinary := d.u8() == 1
-	kps := decodeKeypoints(d, nil)
+	s := &features.Set{Binary: d.u8() == 1}
+	s.Keypoints = decodeKeypoints(d, nil)
 	if d.err != nil {
 		return nil
 	}
-	p := &features.Packed{
-		N:        int(d.u32()),
-		Dim:      int(d.u32()),
-		RowBytes: int(d.u32()),
-	}
-	p.WordsPerRow = int(d.u32())
-	p.Floats = d.f32s()
+	n := int(d.u32())
+	s.Dim = int(d.u32())
+	s.RowBytes = int(d.u32())
+	s.WordsPerRow = int(d.u32())
+	s.Floats = d.f32s()
 	norms := d.count(int(d.u32()), 4)
 	d.take(norms * 4)
-	p.Words = d.u64s()
-	if d.err != nil {
+	s.Words = d.u64s()
+	if d.err != nil || !checkSetShape(d, s, n, norms) {
 		return nil
 	}
-	if isBinary && p.Words == nil {
-		p.Words = []uint64{} // Pack always materialises Words for binary sets
-	}
-	if !checkPackedShape(d, p, norms, isBinary, len(kps)) {
-		return nil
-	}
-	return features.RestoreSet(kps, p)
+	return s
 }
 
 // --- primitive little-endian encoder/decoder ---

@@ -10,7 +10,7 @@ package snapshot
 // view order, which is exactly the storage a flat DescriptorIndex
 // concatenates: a mapped load aliases one region per family for the
 // whole index and a sub-slice of it per view, so neither the per-view
-// packed blocks nor the rebuilt indexes copy descriptor bytes.
+// sets nor the rebuilt indexes copy descriptor bytes.
 //
 // v2 layout (all integers little-endian):
 //
@@ -170,23 +170,22 @@ func writeV2(w io.Writer, s *Snapshot) error {
 		bw.align()
 		for i := range g.Views {
 			if s := g.Views[i].Desc[k]; s != nil {
-				p := s.Pack().Packed
 				so[i].floats = bw.off()
-				bw.f32s(p.Floats)
+				bw.f32s(s.Floats)
 			}
 		}
 		bw.align()
 		for i := range g.Views {
 			if s := g.Views[i].Desc[k]; s != nil {
 				so[i].norms = bw.off()
-				bw.f32s(rowNorms(s.Packed))
+				bw.f32s(rowNorms(s))
 			}
 		}
 		bw.align()
 		for i := range g.Views {
 			if s := g.Views[i].Desc[k]; s != nil {
 				so[i].words = bw.off()
-				bw.u64s(s.Packed.Words)
+				bw.u64s(s.Words)
 			}
 		}
 		bw.align()
@@ -238,14 +237,13 @@ func writeV2(w io.Writer, s *Snapshot) error {
 		for _, k := range present {
 			e.u8(uint8(k))
 			set := v.Desc[k]
-			p := set.Packed
-			e.u8(b2u8(set.IsBinary()))
+			e.u8(b2u8(set.Binary))
 			e.u32(uint32(len(set.Keypoints)))
 			e.u64(offs[k][i].kps)
-			e.u32(uint32(p.N))
-			e.u32(uint32(p.Dim))
-			e.u32(uint32(p.RowBytes))
-			e.u32(uint32(p.WordsPerRow))
+			e.u32(uint32(set.Len()))
+			e.u32(uint32(set.Dim))
+			e.u32(uint32(set.RowBytes))
+			e.u32(uint32(set.WordsPerRow))
 			so := offs[k][i]
 			e.u64(so.floats)
 			e.u64(so.norms)
@@ -381,12 +379,11 @@ type regionTally struct {
 	haveFloat, haveWord bool
 }
 
-// readV2 decodes a v2 snapshot from the complete file bytes. With
-// borrowed=true (a memory mapping) the restored packed blocks are
-// marked Borrowed so pooling code never recycles them; verifyBlob
-// selects whether the blob CRC is checked (heap loads) or skipped
-// (mapped loads stay O(structure)).
-func readV2(raw []byte, verifyBlob, borrowed bool) (*Snapshot, error) {
+// readV2 decodes a v2 snapshot from the complete file bytes. Every
+// descriptor matrix aliases raw, so a mapped load copies no row;
+// verifyBlob selects whether the blob CRC is checked (heap loads) or
+// skipped (mapped loads stay O(structure)).
+func readV2(raw []byte, verifyBlob bool) (*Snapshot, error) {
 	if len(raw) < headerLenV2 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a v2 header", ErrCorrupt, len(raw))
 	}
@@ -432,7 +429,7 @@ func readV2(raw []byte, verifyBlob, borrowed bool) (*Snapshot, error) {
 	if d.err == nil {
 		views = make([]pipeline.View, nv)
 		for i := range views {
-			decodeViewV2(d, bl, &views[i], hu, i, tallies, borrowed, alloc)
+			decodeViewV2(d, bl, &views[i], hu, i, tallies, alloc)
 			if d.err != nil {
 				break
 			}
@@ -472,7 +469,7 @@ func readV2(raw []byte, verifyBlob, borrowed bool) (*Snapshot, error) {
 	return out, nil
 }
 
-func decodeViewV2(d *dec, bl blob, v *pipeline.View, hu []float64, i int, tallies map[pipeline.DescriptorKind]*regionTally, borrowed bool, alloc *features.RestoreAlloc) {
+func decodeViewV2(d *dec, bl blob, v *pipeline.View, hu []float64, i int, tallies map[pipeline.DescriptorKind]*regionTally, alloc *features.RestoreAlloc) {
 	v.Sample.Class = synth.Class(d.i64())
 	v.Sample.Model = int(d.i64())
 	v.Sample.View = int(d.i64())
@@ -514,37 +511,37 @@ func decodeViewV2(d *dec, bl blob, v *pipeline.View, hu []float64, i int, tallie
 	v.Desc = make(map[pipeline.DescriptorKind]*features.Set, 3)
 	for n := int(d.u8()); n > 0 && d.err == nil; n-- {
 		k := pipeline.DescriptorKind(d.u8())
-		if s := decodeSetV2(d, bl, k, tallies, borrowed, alloc); d.err == nil {
+		if s := decodeSetV2(d, bl, k, tallies, alloc); d.err == nil {
 			v.Desc[k] = s
 		}
 	}
 }
 
-func decodeSetV2(d *dec, bl blob, k pipeline.DescriptorKind, tallies map[pipeline.DescriptorKind]*regionTally, borrowed bool, alloc *features.RestoreAlloc) *features.Set {
-	isBinary := d.u8() == 1
+func decodeSetV2(d *dec, bl blob, k pipeline.DescriptorKind, tallies map[pipeline.DescriptorKind]*regionTally, alloc *features.RestoreAlloc) *features.Set {
+	s := alloc.Set()
+	s.Binary = d.u8() == 1
 	nk := int(d.u32())
 	kpsOff := d.u64()
 	if d.err != nil {
 		return nil
 	}
-	kps := bl.keypoints(kpsOff, nk, alloc)
+	s.Keypoints = bl.keypoints(kpsOff, nk, alloc)
 	if d.err != nil {
 		return nil
 	}
-	p := alloc.Packed()
-	p.N = int(d.u32())
-	p.Dim = int(d.u32())
-	p.RowBytes = int(d.u32())
-	p.WordsPerRow = int(d.u32())
+	n := int(d.u32())
+	s.Dim = int(d.u32())
+	s.RowBytes = int(d.u32())
+	s.WordsPerRow = int(d.u32())
 	if d.err != nil {
 		return nil
 	}
 	// The counts are still raw wire values here; bound the products the
 	// blob accessors will be asked for before computing them.
-	if p.N < 0 || p.Dim < 0 || p.WordsPerRow < 0 ||
-		(p.Dim > 0 && p.N > len(bl.b)/4/p.Dim) ||
-		(p.WordsPerRow > 0 && p.N > len(bl.b)/8/p.WordsPerRow) {
-		d.fail("packed block shape exceeds blob (N=%d dim=%d wpr=%d)", p.N, p.Dim, p.WordsPerRow)
+	if n < 0 || s.Dim < 0 || s.WordsPerRow < 0 ||
+		(s.Dim > 0 && n > len(bl.b)/4/s.Dim) ||
+		(s.WordsPerRow > 0 && n > len(bl.b)/8/s.WordsPerRow) {
+		d.fail("descriptor matrix exceeds blob (N=%d dim=%d wpr=%d)", n, s.Dim, s.WordsPerRow)
 		return nil
 	}
 	floatOff := d.u64()
@@ -554,39 +551,32 @@ func decodeSetV2(d *dec, bl blob, k pipeline.DescriptorKind, tallies map[pipelin
 		return nil
 	}
 	norms := 0
-	if p.Dim > 0 {
-		p.Floats = bl.f32s(floatOff, p.N*p.Dim)
-		bl.slice(normOff, p.N, 4) // bounds-check the norm block; nothing reads it
-		norms = p.N
+	if s.Dim > 0 {
+		s.Floats = bl.f32s(floatOff, n*s.Dim)
+		bl.slice(normOff, n, 4) // bounds-check the norm block; nothing reads it
+		norms = n
 	}
-	if p.WordsPerRow > 0 {
-		p.Words = bl.u64s(wordOff, p.N*p.WordsPerRow)
+	if s.WordsPerRow > 0 {
+		s.Words = bl.u64s(wordOff, n*s.WordsPerRow)
 	}
-	if d.err != nil {
+	if d.err != nil || !checkSetShape(d, s, n, norms) {
 		return nil
 	}
-	if isBinary && p.Words == nil {
-		p.Words = []uint64{} // Pack always materialises Words for binary sets
-	}
-	if !checkPackedShape(d, p, norms, isBinary, len(kps)) {
-		return nil
-	}
-	p.Borrowed = borrowed
 	// Tally the family's region: rows accumulate in view order; the
 	// first non-empty array fixes the region start.
-	if p.N > 0 {
+	if n > 0 {
 		t := tallies[k]
 		if t == nil {
 			t = &regionTally{}
 			tallies[k] = t
 		}
-		if p.Dim > 0 && !t.haveFloat {
-			t.haveFloat, t.floatOff, t.dim = true, floatOff, p.Dim
+		if s.Dim > 0 && !t.haveFloat {
+			t.haveFloat, t.floatOff, t.dim = true, floatOff, s.Dim
 		}
-		if p.WordsPerRow > 0 && !t.haveWord {
-			t.haveWord, t.wordOff, t.wpr = true, wordOff, p.WordsPerRow
+		if s.WordsPerRow > 0 && !t.haveWord {
+			t.haveWord, t.wordOff, t.wpr = true, wordOff, s.WordsPerRow
 		}
-		t.rows += p.N
+		t.rows += n
 	}
-	return features.RestoreSetIn(alloc, kps, p)
+	return s
 }
