@@ -11,6 +11,7 @@ import (
 	"snmatch/internal/arena"
 	"snmatch/internal/features"
 	"snmatch/internal/imaging"
+	"snmatch/internal/simd"
 )
 
 // Params configures extraction. Zero values select the defaults noted on
@@ -55,22 +56,59 @@ const (
 
 // Scratch recycles SIFT's per-query working set: every raster of the
 // Gaussian and DoG pyramids, the convolution scratch and the returned
-// set come from the arena, and the candidate-keypoint accumulator is a
-// reusable spine that grows to the workload's steady-state size once.
-// A nil *Scratch allocates freshly, exactly like Extract. One
-// extraction may be in flight per Scratch between arena Resets; the
-// returned Set is invalid after the Reset.
+// set come from the arena, and the candidate-keypoint accumulator and
+// the gradient row buffers are reusable spines that grow to the
+// workload's steady-state size once. A nil *Scratch allocates freshly,
+// exactly like Extract. One extraction may be in flight per Scratch
+// between arena Resets; the returned Set is invalid after the Reset.
 type Scratch struct {
 	A *arena.Arena
 
-	kps []internalKp
+	kps  []internalKp
+	grad gradRow
 }
 
-func (sc *Scratch) arena() *arena.Arena {
-	if sc == nil {
-		return nil
+// gradRow holds one image row's gradient samples, gathered for one
+// simd.GradientSamples call and then scattered into a histogram in the
+// same order: the kernel's inputs gx, gy and arg (the Gaussian
+// weight's exponent), its outputs mag, ori and wgt, and each
+// descriptor sample's cell coordinates rBin and cBin.
+type gradRow struct {
+	gx, gy, arg, mag, ori, wgt, rBin, cBin []float64
+}
+
+// reserve sizes every buffer for rows of up to w samples.
+func (g *gradRow) reserve(w int) {
+	if cap(g.gx) >= w {
+		return
 	}
-	return sc.A
+	buf := make([]float64, 8*w)
+	next := func() []float64 {
+		s := buf[:w:w]
+		buf = buf[w:]
+		return s
+	}
+	g.gx, g.gy, g.arg, g.mag, g.ori, g.wgt, g.rBin, g.cBin = next(), next(), next(), next(), next(), next(), next(), next()
+}
+
+// set stores sample i: the central-difference gradient at column x of
+// row, whose neighbour rows are up and down, and the exponent arg.
+func (g *gradRow) set(i int, up, row, down []float32, x int, arg float64) {
+	g.gx[i] = float64(row[x+1] - row[x-1])
+	g.gy[i] = float64(down[x] - up[x])
+	g.arg[i] = arg
+}
+
+// run fills mag = Hypot(gx, gy), ori = Atan2(gy, gx) and wgt =
+// Exp(arg) for the first n samples.
+func (g *gradRow) run(n int) {
+	simd.GradientSamples(g.mag[:n], g.ori[:n], g.wgt[:n], g.gx[:n], g.gy[:n], g.arg[:n])
+}
+
+// rows3 returns row y of img and its neighbour rows y-1 and y+1.
+func rows3(img *imaging.FloatGray, y int) (up, row, down []float32) {
+	w := img.W
+	return img.Pix[(y-1)*w : y*w], img.Pix[y*w : (y+1)*w], img.Pix[(y+1)*w : (y+2)*w]
 }
 
 // Extract detects SIFT keypoints and computes their descriptors.
@@ -81,10 +119,14 @@ func Extract(g *imaging.Gray, params Params) *features.Set {
 // ExtractScratch is Extract over a recycled extraction context; its
 // output is bit-identical to Extract for every input.
 func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	p := params.withDefaults()
-	a := sc.arena()
+	a := sc.A
 
 	base := initialImage(g, !p.NoDoubleImage, p.Sigma, a)
+	sc.grad.reserve(base.W) // no octave is wider than its base
 	minDim := base.W
 	if base.H < minDim {
 		minDim = base.H
@@ -109,7 +151,7 @@ func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
 		firstOctaveScale = 0.5
 	}
 	for i, k := range kps {
-		computeDescriptor(gauss, k, set.FloatRow(i))
+		computeDescriptor(gauss, k, set.FloatRow(i), &sc.grad)
 		kp := features.Keypoint{
 			X:        k.x * float32(math.Pow(2, float64(k.octave))) * firstOctaveScale,
 			Y:        k.y * float32(math.Pow(2, float64(k.octave))) * firstOctaveScale,
@@ -207,17 +249,15 @@ func buildDoGPyramid(gauss [][]*imaging.FloatGray, a *arena.Arena) [][]*imaging.
 func findScaleSpaceExtrema(gauss, dog [][]*imaging.FloatGray, p Params, sc *Scratch) []internalKp {
 	nLayers := p.NOctaveLayers
 	threshold := float32(0.5 * p.ContrastThreshold / float64(nLayers))
-	var kps []internalKp
-	if sc != nil {
-		kps = sc.kps[:0]
-	}
+	kps := sc.kps[:0]
 	for o := range dog {
 		for layer := 1; layer <= nLayers; layer++ {
 			prev, cur, next := dog[o][layer-1], dog[o][layer], dog[o][layer+1]
 			w, h := cur.W, cur.H
 			for y := imgBorder; y < h-imgBorder; y++ {
+				row := cur.Pix[y*w : (y+1)*w]
 				for x := imgBorder; x < w-imgBorder; x++ {
-					v := cur.At(x, y)
+					v := row[x]
 					if absf(v) <= threshold {
 						continue
 					}
@@ -229,41 +269,46 @@ func findScaleSpaceExtrema(gauss, dog [][]*imaging.FloatGray, p Params, sc *Scra
 						continue
 					}
 					// Orientation assignment may split the keypoint.
-					kps = appendOrientations(kps, gauss[o], kp)
+					kps = appendOrientations(kps, gauss[o], kp, &sc.grad)
 				}
 			}
 		}
 	}
-	if sc != nil {
-		// Save the grown spine back so the next extraction reuses it;
-		// the returned slice stays valid until the arena resets.
-		sc.kps = kps
-	}
+	// Save the grown spine back so the next extraction reuses it; the
+	// returned slice stays valid until the arena resets.
+	sc.kps = kps
 	return kps
 }
 
+// isExtremum reports whether v, the value at (x, y) of cur, is an
+// extremum of its 3x3x3 neighbourhood: for v > 0 no neighbour in prev,
+// cur or next exceeds it, otherwise none falls below it. Each raster's
+// three rows are one Pix slice from (x-1, y-1) to (x+1, y+1). cur's
+// ring goes first, its own row first, because most candidates fail
+// there; the order of the comparisons cannot change the result.
 func isExtremum(prev, cur, next *imaging.FloatGray, x, y int, v float32) bool {
+	w := cur.W
+	i := y*w + x
+	c := cur.Pix[i-w-1 : i+w+2]
 	if v > 0 {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if prev.At(x+dx, y+dy) > v || next.At(x+dx, y+dy) > v {
-					return false
-				}
-				if (dx != 0 || dy != 0) && cur.At(x+dx, y+dy) > v {
-					return false
-				}
+		if c[w] > v || c[w+2] > v || c[0] > v || c[1] > v || c[2] > v || c[2*w] > v || c[2*w+1] > v || c[2*w+2] > v {
+			return false
+		}
+		for _, img := range [2]*imaging.FloatGray{prev, next} {
+			q := img.Pix[i-w-1 : i+w+2]
+			if q[w+1] > v || q[w] > v || q[w+2] > v || q[0] > v || q[1] > v || q[2] > v || q[2*w] > v || q[2*w+1] > v || q[2*w+2] > v {
+				return false
 			}
 		}
 		return true
 	}
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if prev.At(x+dx, y+dy) < v || next.At(x+dx, y+dy) < v {
-				return false
-			}
-			if (dx != 0 || dy != 0) && cur.At(x+dx, y+dy) < v {
-				return false
-			}
+	if c[w] < v || c[w+2] < v || c[0] < v || c[1] < v || c[2] < v || c[2*w] < v || c[2*w+1] < v || c[2*w+2] < v {
+		return false
+	}
+	for _, img := range [2]*imaging.FloatGray{prev, next} {
+		q := img.Pix[i-w-1 : i+w+2]
+		if q[w+1] < v || q[w] < v || q[w+2] < v || q[0] < v || q[1] < v || q[2] < v || q[2*w] < v || q[2*w+1] < v || q[2*w+2] < v {
+			return false
 		}
 	}
 	return true
@@ -377,8 +422,9 @@ func solve3(a11, a12, a13, a21, a22, a23, a31, a32, a33, b1, b2, b3 float64) (x1
 // appendOrientations builds the 36-bin gradient histogram around the
 // keypoint and appends one keypoint per dominant peak (>= 80% of max)
 // to dst — the append-into-caller form that keeps the hot extrema sweep
-// free of per-candidate slice allocations.
-func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp internalKp) []internalKp {
+// free of per-candidate slice allocations. Each row of the square
+// window, clipped to the image, is one gradient-kernel call on g.
+func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp internalKp, g *gradRow) []internalKp {
 	img := gaussOct[kp.layer]
 	radius := int(math.Round(float64(orientRadius) * float64(kp.sclOctv)))
 	if radius < 1 {
@@ -387,6 +433,7 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 	sigma := orientSigmaFac * float64(kp.sclOctv)
 	expDenom := 2 * sigma * sigma
 	x0, y0 := int(math.Round(float64(kp.x))), int(math.Round(float64(kp.y)))
+	lo, hi := max(-radius, 1-x0), min(radius, img.W-2-x0)
 
 	var hist [orientBins]float64
 	for dy := -radius; dy <= radius; dy++ {
@@ -394,19 +441,17 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 		if y <= 0 || y >= img.H-1 {
 			continue
 		}
-		for dx := -radius; dx <= radius; dx++ {
-			x := x0 + dx
-			if x <= 0 || x >= img.W-1 {
-				continue
-			}
-			gx := float64(img.At(x+1, y) - img.At(x-1, y))
-			gy := float64(img.At(x, y+1) - img.At(x, y-1))
-			mag := math.Hypot(gx, gy)
-			ori := math.Atan2(gy, gx)
-			wgt := math.Exp(-(float64(dx*dx) + float64(dy*dy)) / expDenom)
+		up, row, down := rows3(img, y)
+		ns := 0
+		for dx := lo; dx <= hi; dx++ {
+			g.set(ns, up, row, down, x0+dx, -(float64(dx*dx)+float64(dy*dy))/expDenom)
+			ns++
+		}
+		g.run(ns)
+		for i, ori := range g.ori[:ns] {
 			bin := int(math.Round(float64(orientBins) * (ori + math.Pi) / (2 * math.Pi)))
 			bin = ((bin % orientBins) + orientBins) % orientBins
-			hist[bin] += wgt * mag
+			hist[bin] += g.wgt[i] * g.mag[i]
 		}
 	}
 	// Circular smoothing with the [1 4 6 4 1]/16 kernel.
@@ -462,7 +507,11 @@ func histIdx(r, c, o int) int { return (r*(descWidth+2)+c)*(descBins+2) + o }
 // its octave's Gaussian image, into desc, a row of the set's matrix.
 // The histogram is a stack array (its extent is a compile-time
 // constant), so a warm context computes descriptors without heap work.
-func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float32) {
+//
+// Each row of the window visits only the dx that windowSpan leaves,
+// gathers the samples that pass the exact window test into g, runs the
+// gradient kernel once, and scatters them in dx order.
+func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float32, g *gradRow) {
 	img := gauss[kp.octave][kp.layer]
 	d, n := descWidth, descBins
 	histWidth := descSclFactor * float64(kp.sclOctv)
@@ -480,8 +529,21 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 	// Histogram with guard bins for trilinear interpolation.
 	var hist [(descWidth + 2) * (descWidth + 2) * (descBins + 2)]float64
 
+	// A sample passes the window test only if both rotated coordinates
+	// lie within d/2+1/2 cells of the centre. lim is that bound in
+	// pixels, widened by a relative 1e-9, far above the rounding of the
+	// test's float64 expressions.
+	lim := (float64(d)/2 + 0.5) * histWidth * (1 + 1e-9)
 	for dy := -radius; dy <= radius; dy++ {
-		for dx := -radius; dx <= radius; dx++ {
+		y := y0 + dy
+		if y <= 0 || y >= img.H-1 {
+			continue
+		}
+		lo, hi := stripSpan(max(-radius, 1-x0), min(radius, img.W-2-x0), cosA, sinA*float64(dy), lim)
+		lo, hi = stripSpan(lo, hi, -sinA, cosA*float64(dy), lim)
+		up, row, down := rows3(img, y)
+		ns := 0
+		for dx := lo; dx <= hi; dx++ {
 			// Rotated coordinates normalised to histogram cells.
 			rotX := (cosA*float64(dx) + sinA*float64(dy)) / histWidth
 			rotY := (-sinA*float64(dx) + cosA*float64(dy)) / histWidth
@@ -490,14 +552,13 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 			if rBin <= -1 || rBin >= float64(d) || cBin <= -1 || cBin >= float64(d) {
 				continue
 			}
-			x, y := x0+dx, y0+dy
-			if x <= 0 || x >= img.W-1 || y <= 0 || y >= img.H-1 {
-				continue
-			}
-			gx := float64(img.At(x+1, y) - img.At(x-1, y))
-			gy := float64(img.At(x, y+1) - img.At(x, y-1))
-			mag := math.Hypot(gx, gy)
-			ori := math.Atan2(gy, gx) - float64(kp.angle)
+			g.set(ns, up, row, down, x0+dx, -(rotX*rotX+rotY*rotY)/expDenom)
+			g.rBin[ns], g.cBin[ns] = rBin, cBin
+			ns++
+		}
+		g.run(ns)
+		for i, mag := range g.mag[:ns] {
+			ori := g.ori[i] - float64(kp.angle)
 			for ori < 0 {
 				ori += 2 * math.Pi
 			}
@@ -505,8 +566,8 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 				ori -= 2 * math.Pi
 			}
 			oBin := ori * binsPerRad
-			wgt := math.Exp(-(rotX*rotX + rotY*rotY) / expDenom)
-			v := mag * wgt
+			v := mag * g.wgt[i]
+			rBin, cBin := g.rBin[i], g.cBin[i]
 
 			r0 := int(math.Floor(rBin))
 			c0 := int(math.Floor(cBin))
@@ -515,36 +576,17 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 			cb := cBin - float64(c0)
 			ob := oBin - float64(o0)
 
-			// Trilinear distribution into 8 cells.
-			for ri := 0; ri < 2; ri++ {
-				rw := 1 - rb
-				if ri == 1 {
-					rw = rb
-				}
-				rr := r0 + ri + 1
-				if rr < 0 || rr >= d+2 {
-					continue
-				}
-				for ci := 0; ci < 2; ci++ {
-					cw := 1 - cb
-					if ci == 1 {
-						cw = cb
-					}
-					cc := c0 + ci + 1
-					if cc < 0 || cc >= d+2 {
-						continue
-					}
-					for oi := 0; oi < 2; oi++ {
-						ow := 1 - ob
-						if oi == 1 {
-							ow = ob
-						}
-						oo := (o0 + oi) % n
-						if oo < 0 {
-							oo += n
-						}
-						hist[histIdx(rr, cc, oo)] += v * rw * cw * ow
-					}
+			// Trilinear distribution into 8 cells, each taking
+			// v*rw*cw*ow. The window test keeps rBin and cBin in (-1, d)
+			// and ori is in [0, 2π), so every cell lies inside the
+			// guard-binned histogram.
+			oLo, oHi := o0%n, (o0+1)%n
+			for ri, rw := range [2]float64{1 - rb, rb} {
+				for ci, cw := range [2]float64{1 - cb, cb} {
+					cell := hist[histIdx(r0+ri+1, c0+ci+1, 0):][:n]
+					vrc := v * rw * cw
+					cell[oLo] += vrc * (1 - ob)
+					cell[oHi] += vrc * ob
 				}
 			}
 		}
@@ -561,6 +603,33 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 		}
 	}
 	normalizeDescriptor(desc)
+}
+
+// stripSpan narrows the dx range [lo, hi] of one window row to a
+// superset of the dx with |a*dx + b| < lim, where a*dx + b is one
+// rotated coordinate in pixels. Each bound rounds outward. Below a
+// slope of 1e-6 the coordinate hardly moves along the row, and
+// dividing by a would magnify b's rounding, so the range is kept whole
+// or, when even its nearest point lies outside, dropped.
+func stripSpan(lo, hi int, a, b, lim float64) (int, int) {
+	const flat = 1e-6
+	if math.Abs(a) < flat {
+		if math.Abs(b)-flat*float64(max(-lo, hi)) >= lim {
+			return 0, -1
+		}
+		return lo, hi
+	}
+	t0, t1 := (-lim-b)/a, (lim-b)/a
+	if a < 0 {
+		t0, t1 = t1, t0
+	}
+	if t0 > float64(lo) {
+		lo = int(math.Floor(t0))
+	}
+	if t1 < float64(hi) {
+		hi = int(math.Ceil(t1))
+	}
+	return lo, hi
 }
 
 // normalizeDescriptor applies Lowe's normalise -> clamp at 0.2 ->

@@ -122,3 +122,49 @@ func TestArenaRastersZeroed(t *testing.T) {
 		}
 	}
 }
+
+// refResizeBilinear is FloatGray.ResizeBilinearIn as it read the four
+// corners of every output pixel through AtClamped: the bit-equality
+// reference for the row-wise form.
+func refResizeBilinear(f *FloatGray, w, h int) *FloatGray {
+	out := NewFloatGray(w, h)
+	xr := float64(f.W) / float64(w)
+	yr := float64(f.H) / float64(h)
+	for y := 0; y < h; y++ {
+		fy := (float64(y)+0.5)*yr - 0.5
+		y0 := floorInt(fy)
+		wy := float32(fy - float64(y0))
+		for x := 0; x < w; x++ {
+			fx := (float64(x)+0.5)*xr - 0.5
+			x0 := floorInt(fx)
+			wx := float32(fx - float64(x0))
+			v00 := f.AtClamped(x0, y0)
+			v10 := f.AtClamped(x0+1, y0)
+			v01 := f.AtClamped(x0, y0+1)
+			v11 := f.AtClamped(x0+1, y0+1)
+			top := v00 + (v10-v00)*wx
+			bot := v01 + (v11-v01)*wx
+			out.Set(x, y, top+(bot-top)*wy)
+		}
+	}
+	return out
+}
+
+// TestResizeBilinearMatchesReference covers doubling (SIFT's base
+// image), up- and down-scales by odd factors, identity, and 1×N and
+// N×1 sources and targets, on a dirty arena.
+func TestResizeBilinearMatchesReference(t *testing.T) {
+	a := dirtyArena()
+	sizes := [][4]int{
+		{128, 128, 256, 256}, {31, 29, 62, 58}, {17, 23, 40, 9}, {40, 9, 17, 23}, {8, 8, 8, 8},
+		{1, 13, 5, 7}, {13, 1, 7, 5}, {9, 6, 1, 11}, {9, 6, 11, 1}, {1, 1, 3, 4}, {5, 5, 1, 1},
+	}
+	for i, sz := range sizes {
+		f := NewFloatGray(sz[0], sz[1])
+		for j := range f.Pix {
+			f.Pix[j] = float32(math.Sin(float64(j)*0.37+float64(i))) * 0.5
+		}
+		floatsEqual(t, "resize", refResizeBilinear(f, sz[2], sz[3]).Pix, f.ResizeBilinearIn(a, sz[2], sz[3]).Pix)
+		floatsEqual(t, "resize heap", refResizeBilinear(f, sz[2], sz[3]).Pix, f.ResizeBilinear(sz[2], sz[3]).Pix)
+	}
+}

@@ -111,31 +111,42 @@ func (g *Gray) ResizeBilinearIn(a *arena.Arena, w, h int) *Gray {
 func (f *FloatGray) ResizeBilinear(w, h int) *FloatGray { return f.ResizeBilinearIn(nil, w, h) }
 
 // ResizeBilinearIn is ResizeBilinear with the result drawn from the
-// arena.
+// arena. Each output column's clamped source columns and weight are
+// computed once per call, each output row's source rows and weight
+// once per row.
 func (f *FloatGray) ResizeBilinearIn(a *arena.Arena, w, h int) *FloatGray {
 	checkSize(w, h)
 	out := NewFloatGrayIn(a, w, h)
 	xr := float64(f.W) / float64(w)
 	yr := float64(f.H) / float64(h)
+	cols := arena.Slice[int](a, 2*w) // x0 and x0+1 of column x at 2x and 2x+1, clamped
+	wxs := arena.Slice[float32](a, w)
+	for x := range wxs {
+		fx := (float64(x)+0.5)*xr - 0.5
+		x0 := floorInt(fx)
+		wxs[x] = float32(fx - float64(x0))
+		cols[2*x], cols[2*x+1] = clampIndex(x0, f.W), clampIndex(x0+1, f.W)
+	}
 	for y := 0; y < h; y++ {
 		fy := (float64(y)+0.5)*yr - 0.5
 		y0 := floorInt(fy)
 		wy := float32(fy - float64(y0))
-		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*xr - 0.5
-			x0 := floorInt(fx)
-			wx := float32(fx - float64(x0))
-			v00 := f.AtClamped(x0, y0)
-			v10 := f.AtClamped(x0+1, y0)
-			v01 := f.AtClamped(x0, y0+1)
-			v11 := f.AtClamped(x0+1, y0+1)
-			top := v00 + (v10-v00)*wx
-			bot := v01 + (v11-v01)*wx
-			out.Set(x, y, top+(bot-top)*wy)
+		r0 := f.Pix[clampIndex(y0, f.H)*f.W:][:f.W]
+		r1 := f.Pix[clampIndex(y0+1, f.H)*f.W:][:f.W]
+		dst := out.Pix[y*w : (y+1)*w]
+		for x, wx := range wxs {
+			c0, c1 := cols[2*x], cols[2*x+1]
+			top := r0[c0] + (r0[c1]-r0[c0])*wx
+			bot := r1[c0] + (r1[c1]-r1[c0])*wx
+			dst[x] = top + (bot-top)*wy
 		}
 	}
 	return out
 }
+
+// clampIndex clamps i to [0, n), replicating the border as AtClamped
+// does.
+func clampIndex(i, n int) int { return min(max(i, 0), n-1) }
 
 // Downsample2 halves f in each dimension by dropping odd rows/columns, as
 // used between SIFT octaves. Images of odd size round down (minimum 1).

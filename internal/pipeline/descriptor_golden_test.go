@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"snmatch/internal/dataset"
 	"snmatch/internal/features"
 )
 
@@ -75,5 +76,30 @@ func TestDescriptorDigestGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != descriptorDigestGolden {
 		t.Fatalf("descriptor digest = %s, want %s", got, descriptorDigestGolden)
+	}
+}
+
+// largeQueryDigestGolden is the SHA-256 of the SIFT sets of the 110
+// 128px queries of dataset.BuildLargeQueriesAt(10, 11, 128, 9), the
+// inputs of snbench's classify-sift-large workload.
+const largeQueryDigestGolden = "29388664c97ce532d64aef1581123306754dae86a6d7c3a9832b8e75f6ca8278"
+
+// TestLargeQueryDigestGolden pins SIFT extraction where the 48px
+// fixture of TestDescriptorDigestGolden does not reach: a 256px octave
+// 0 and descriptor radii in the thirties. The sets come from one
+// pooled extraction context, as in serving.
+func TestLargeQueryDigestGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("golden digest is pinned on amd64 and 386; float arithmetic may fuse differently on %s", runtime.GOARCH)
+	}
+	params := DefaultDescriptorParams()
+	c := NewExtractCtx()
+	h := sha256.New()
+	for _, s := range dataset.BuildLargeQueriesAt(10, 11, 128, 9).Samples {
+		hashSet(h, ExtractDescriptorsCtx(s.Image, SIFT, params, c))
+		c.Reset()
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != largeQueryDigestGolden {
+		t.Fatalf("large query digest = %s, want %s", got, largeQueryDigestGolden)
 	}
 }

@@ -1,18 +1,22 @@
 // Package simd holds the vector kernels behind the hot loops: the
 // weighted row sum that runs both passes of the separable Gaussian
-// convolution, and the flat descriptor index's two 2-NN scans, one
-// over float rows and one over binary rows. Each kernel is an amd64
-// AVX2 assembly routine beside a pure-Go twin. The choice is made
-// once, at package init, from CPUID (AVX2 present and YMM state
-// enabled by the OS); every other CPU and GOARCH runs the Go twin,
-// which is also the test oracle for the assembly.
+// convolution, the flat descriptor index's two 2-NN scans, one over
+// float rows and one over binary rows, and SIFT's per-sample gradient
+// math. Each kernel is an amd64 AVX2 assembly routine beside a pure-Go
+// twin. The choice is made once, at package init, from CPUID (AVX2 and
+// FMA present and YMM state enabled by the OS); every other CPU and
+// GOARCH runs the Go twin, which is also the test oracle for the
+// assembly.
 //
-// The two paths are bit-identical. In the float kernels every SIMD
+// The two paths are bit-identical. In the float32 kernels every SIMD
 // lane runs exactly one scalar accumulator chain of the Go twin: the
 // same operands in the same order, starting from +0, with a separate
-// multiply and add. Nothing uses FMA, whose single rounding would
+// multiply and add. They use no FMA, whose single rounding would
 // change bits. The binary kernel's distances are integers, so any
-// summation order gives the same result.
+// summation order gives the same result. The gradient kernel's twin is
+// a loop of math.Hypot, math.Atan2 and math.Exp calls, and each of its
+// float64 lanes runs the operation sequence those functions run on
+// amd64: its exp lanes fuse exactly where math.Exp's FMA path does.
 //
 // The exported wrappers reslice every input to the exact length the
 // kernel reads before dispatching, so no kernel reads past an input's
@@ -136,6 +140,29 @@ func HammingLane2NN(qt, rows []uint64, wpr int) (s1, s2 [HammingLanes]uint64) {
 // noneLanes seeds the Hamming fold. The assembly folds with unsigned
 // 32-bit min and max, so every lane's upper half must stay zero.
 var noneLanes = [HammingLanes]uint64{math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32}
+
+// GradientSamples fills, for every i of mag, mag[i] = math.Hypot(gx[i],
+// gy[i]), ori[i] = math.Atan2(gy[i], gx[i]) and wgt[i] =
+// math.Exp(arg[i]), bit-equal to package math on every target. The
+// assembly runs four float64 lanes at a time and hands any block with
+// a lane it does not cover to the Go twin: a non-finite gradient, or
+// an exp argument outside about [-708.7, 709.4], where math.Exp leaves
+// its main path.
+//
+//snmatch:noalloc
+func GradientSamples(mag, ori, wgt, gx, gy, arg []float64) {
+	n := len(mag)
+	gradientSamples(mag, ori[:n], wgt[:n], gx[:n], gy[:n], arg[:n])
+}
+
+// gradientSamplesGo is GradientSamples' Go twin.
+func gradientSamplesGo(mag, ori, wgt, gx, gy, arg []float64) {
+	for i := range mag {
+		mag[i] = math.Hypot(gx[i], gy[i])
+		ori[i] = math.Atan2(gy[i], gx[i])
+		wgt[i] = math.Exp(arg[i])
+	}
+}
 
 // accumRowsGo is AccumRows' Go twin. Blocks of eight columns run eight
 // independent accumulator chains across all taps and store each output

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -220,4 +221,71 @@ func BenchmarkKernelHammingLane2NN(b *testing.B) {
 	benchKernels(b,
 		func() { s1, s2 = noneLanes, noneLanes; hammingLane2NNAVX2(&s1, &s2, qt, rows) },
 		func() { s1, s2 = noneLanes, noneLanes; hammingLane2NNGo(&s1, &s2, qt, rows, wpr) })
+}
+
+// TestKernelGradientSamplesBitEqual runs the assembly alone and the
+// dispatched kernel against the Go twin on gradientCases: over a
+// million SIFT-like samples in rows of every tail length, and the
+// edges of hypot, atan2 and exp (signed zeros, equal magnitudes,
+// satan's thresholds and their ulps, x < 0 with a zero quotient,
+// subnormals, infinities, NaN, exp's overflow and subnormal
+// thresholds). The assembly alone must write only whole covered
+// blocks before the index it returns, and must cover every SIFT-like
+// row to its end.
+func TestKernelGradientSamplesBitEqual(t *testing.T) {
+	requireAVX2(t)
+	gx, gy, arg := gradientCases()
+	var done int
+	asm := func(mag, ori, wgt, gx, gy, arg []float64) {
+		done = gradientSamplesAVX2(mag, ori, wgt, gx, gy, arg)
+	}
+	fellBack := 0
+	for r := range gx {
+		x, y, a := gx[r], gy[r], arg[r]
+		wm, wo, ww := runGradient(t, gradientSamplesGo, x, y, a)
+		dm, do, dw := runGradient(t, gradientSamples, x, y, a)
+		label := fmt.Sprintf("row %d", r)
+		gradientBitsEqual(t, label+" mag", x, y, a, wm, dm)
+		gradientBitsEqual(t, label+" ori", x, y, a, wo, do)
+		gradientBitsEqual(t, label+" wgt", x, y, a, ww, dw)
+
+		am, ao, aw := runGradient(t, asm, x, y, a)
+		if done < 0 || done > len(x) || done%4 != 0 && done != len(x) {
+			t.Fatalf("%s: assembly stopped at %d of %d, not at a block edge", label, done, len(x))
+		}
+		if done < len(x) {
+			fellBack++
+			for k, out := range [3][]float64{am, ao, aw} {
+				for i := done; i < min(done+4, len(x)); i++ {
+					if out[i] != gradientGuard {
+						t.Fatalf("%s: assembly wrote output %d of the block it handed back", label, k)
+					}
+				}
+			}
+		}
+		gradientBitsEqual(t, label+" asm mag", x, y, a, wm[:done], am[:done])
+		gradientBitsEqual(t, label+" asm ori", x, y, a, wo[:done], ao[:done])
+		gradientBitsEqual(t, label+" asm wgt", x, y, a, ww[:done], aw[:done])
+	}
+	sift := rng.New(23)
+	for trial := 0; trial < 1000; trial++ {
+		x, y, a := siftLikeSamples(sift, 1+trial%80)
+		mag, ori, wgt := make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
+		if done := gradientSamplesAVX2(mag, ori, wgt, x, y, a); done != len(x) {
+			t.Fatalf("SIFT-like row of %d samples: assembly covered only %d", len(x), done)
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no edge row reached the Go twin: the coverage test is not exercised")
+	}
+}
+
+// BenchmarkKernelGradientSamples is one 64-sample row of SIFT-like
+// gradients.
+func BenchmarkKernelGradientSamples(b *testing.B) {
+	gx, gy, arg := siftLikeSamples(rng.New(6), 64)
+	mag, ori, wgt := make([]float64, 64), make([]float64, 64), make([]float64, 64)
+	benchKernels(b,
+		func() { gradientSamplesAVX2(mag, ori, wgt, gx, gy, arg) },
+		func() { gradientSamplesGo(mag, ori, wgt, gx, gy, arg) })
 }

@@ -13,3 +13,7 @@ func lane2NN(s1, s2 *[Lanes]float32, qt, rows []float32, dim int) {
 func hammingLane2NN(s1, s2 *[HammingLanes]uint64, qt, rows []uint64, wpr int) {
 	hammingLane2NNGo(s1, s2, qt, rows, wpr)
 }
+
+func gradientSamples(mag, ori, wgt, gx, gy, arg []float64) {
+	gradientSamplesGo(mag, ori, wgt, gx, gy, arg)
+}
