@@ -65,7 +65,7 @@ func FindContours(bin *imaging.Gray) []Contour {
 // input; the returned contours alias the scratch and are valid until its
 // next use.
 func FindContoursInto(s *Scratch, bin *imaging.Gray) []Contour {
-	s.trace(bin, nil)
+	s.trace(s.fill(bin), bin.W, bin.H, nil)
 	// Materialise only after every border is traced: contours are
 	// capacity-capped subslices of the point spine, and the spine cannot
 	// move once appends stop.
@@ -78,43 +78,67 @@ func FindContoursInto(s *Scratch, bin *imaging.Gray) []Contour {
 	return s.out
 }
 
-// TraceBorders traces exactly the borders FindContours finds and calls
-// visit with each one's summary, in the same order. No point is
-// stored, so its working set is the trace plane alone, however many
-// borders there are and however long they run.
-func TraceBorders(bin *imaging.Gray, visit func(Border)) {
-	var s Scratch
-	s.trace(bin, visit)
-}
-
-// trace runs Suzuki-Abe border following over bin. With a nil visit it
-// appends each border's points to s.pts, its end offset to s.offs and
-// its hole flag to s.holes; otherwise it folds the points into a Border
-// and calls visit with it.
-//
-// The plane carries a one-pixel background frame, so every neighbour
-// read is in bounds without a test, and a neighbour is an index offset.
-func (s *Scratch) trace(bin *imaging.Gray, visit func(Border)) {
-	w, h := bin.W, bin.H
+// Plane returns the scratch's trace plane for a w x h binary image:
+// (w+2)*(h+2) cells, row-major with stride w+2, with the one-cell
+// frame around the image cleared. The caller sets every interior cell
+// (x, y), at index (y+1)*(w+2)+x+1, to 1 for foreground or 0 for
+// background, then traces it with TraceBorders. Tracing relabels
+// foreground cells with other non-zero labels and leaves background
+// zero, so the traced plane still tells foreground from background.
+// The plane is valid until the scratch's next use.
+func (s *Scratch) Plane(w, h int) []int8 {
 	stride := w + 2
 	n := stride * (h + 2)
 	if cap(s.f) < n {
 		s.f = make([]int8, n)
 	}
 	f := s.f[:n]
-	clear(f[:stride])
-	clear(f[(h+1)*stride:])
-	for y := 0; y < h; y++ {
-		row := f[(y+1)*stride : (y+2)*stride]
-		row[0], row[w+1] = background, background
-		for x, v := range bin.Pix[y*w : (y+1)*w] {
+	clear(f[:stride+1])
+	for i := 2*stride - 1; i < n-stride; i += stride {
+		f[i], f[i+1] = background, background // right frame of row y, left of row y+1
+	}
+	clear(f[n-stride:])
+	return f
+}
+
+// fill returns the scratch's plane holding bin, whose pixels above zero
+// are foreground.
+func (s *Scratch) fill(bin *imaging.Gray) []int8 {
+	f := s.Plane(bin.W, bin.H)
+	stride := bin.W + 2
+	for y := 0; y < bin.H; y++ {
+		row := f[(y+1)*stride+1:][:bin.W]
+		for x, v := range bin.Pix[y*bin.W : (y+1)*bin.W] {
 			if v > 0 {
-				row[x+1] = unvisited
+				row[x] = unvisited
 			} else {
-				row[x+1] = background
+				row[x] = background
 			}
 		}
 	}
+	return f
+}
+
+// TraceBorders traces exactly the borders FindContours finds on the
+// binary image that the w x h plane f holds, filled as Plane describes,
+// and calls visit with each one's summary, in the same order. No point
+// is stored, so its working set is the plane alone, however many
+// borders there are and however long they run.
+func TraceBorders(f []int8, w, h int, visit func(Border)) {
+	var s Scratch
+	s.trace(f, w, h, visit)
+}
+
+// trace runs Suzuki-Abe border following over the filled plane f. With
+// a nil visit it appends each border's points to s.pts, its end offset
+// to s.offs and its hole flag to s.holes; otherwise it folds the points
+// into a Border and calls visit with it.
+//
+// The plane carries a one-pixel background frame, so every neighbour
+// read is in bounds without a test, and a neighbour is an index offset.
+func (s *Scratch) trace(f []int8, w, h int, visit func(Border)) {
+	stride := w + 2
+	f = f[:stride*(h+2)]
 	var step [8]int
 	for d, dv := range dirs8 {
 		step[d] = dv[1]*stride + dv[0]

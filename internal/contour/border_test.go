@@ -182,13 +182,14 @@ func TestTracerMatchesReference(t *testing.T) {
 
 // TestBorderSummariesMatchContours requires TraceBorders' summaries to
 // equal FindContours' Hole, Area() (bit for bit) and BoundingBox(),
-// border by border.
+// border by border, on one scratch plane reused across every shape.
 func TestBorderSummariesMatchContours(t *testing.T) {
 	r := rng.New(232)
+	var s Scratch
 	for k, bin := range tracerPlanes(r) {
 		cs := FindContours(bin)
 		var bs []Border
-		TraceBorders(bin, func(b Border) { bs = append(bs, b) })
+		TraceBorders(s.fill(bin), bin.W, bin.H, func(b Border) { bs = append(bs, b) })
 		if len(bs) != len(cs) {
 			t.Fatalf("plane %d (%dx%d): %d borders, %d contours", k, bin.W, bin.H, len(bs), len(cs))
 		}

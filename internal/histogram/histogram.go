@@ -216,6 +216,53 @@ func Compare(a, b *Hist, method CompareMethod) float64 {
 	panic(fmt.Sprintf("histogram: unknown compare method %d", method))
 }
 
+// Occupied is a histogram's occupied bins, those whose count is not
+// zero, in ascending bin order, with Total the in-order sum of all its
+// counts: what Compare's Hellinger sums need of a histogram on the b
+// side.
+type Occupied struct {
+	Bins   int
+	Index  []int32
+	Counts []float64
+	Total  float64
+}
+
+// NewOccupied lists h's occupied bins.
+func NewOccupied(h *Hist) Occupied {
+	o := Occupied{Bins: h.Bins, Total: h.Total()}
+	for i, v := range h.Counts {
+		if v != 0 {
+			o.Index = append(o.Index, int32(i))
+			o.Counts = append(o.Counts, v)
+		}
+	}
+	return o
+}
+
+// HellingerOccupied returns Compare(a, b, Hellinger) bit for bit, with
+// sa = a.Total() and o = NewOccupied(b), summing sqrt(a·b) over b's
+// occupied bins alone. A skipped bin adds sqrt(a·0) = ±0, which leaves
+// the running sum, +0 or non-zero, unchanged; that needs every count of
+// a finite, which every histogram built from pixels is. sa and o.Total
+// are Compare's other two sums, in its order.
+func HellingerOccupied(a *Hist, sa float64, o Occupied) float64 {
+	if a.Bins != o.Bins {
+		panic("histogram: comparing histograms with different bin counts")
+	}
+	var sxy float64
+	for k, i := range o.Index {
+		sxy += math.Sqrt(a.Counts[i] * o.Counts[k])
+	}
+	if sa == 0 || o.Total == 0 {
+		return 1
+	}
+	bc := sxy / math.Sqrt(sa*o.Total)
+	if bc > 1 {
+		bc = 1
+	}
+	return math.Sqrt(1 - bc)
+}
+
 // Distance converts a comparison score into a quantity to minimise, used
 // by the hybrid pipeline: for similarity metrics (Correlation and
 // Intersection) the paper takes the inverse of the score; for distance

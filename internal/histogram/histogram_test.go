@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -239,6 +240,43 @@ func TestSimilarColoursCloserThanDifferent(t *testing.T) {
 		far := Distance(Compare(brown1, green, m), m)
 		if near > far {
 			t.Errorf("%v: near %v > far %v", m, near, far)
+		}
+	}
+}
+
+// TestHellingerOccupiedMatchesCompare requires the occupied-bin sum to
+// equal Compare's Hellinger bit for bit: normalised and raw histograms
+// from sparse to dense, b with negative zeros and nothing occupied,
+// and on the b side the NaN, Inf and negative counts Compare folds in
+// too.
+func TestHellingerOccupiedMatchesCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	fill := func(h *Hist, density float64) {
+		for i := range h.Counts {
+			switch x := r.Float64(); {
+			case x < density:
+				h.Counts[i] = float64(r.Intn(500)) * r.Float64()
+			case x < density+0.05:
+				h.Counts[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	for k := 0; k < 2000; k++ {
+		bins := []int{1, 2, 4, 8}[k%4]
+		a, b := New(bins), New(bins)
+		fill(a, r.Float64())
+		fill(b, []float64{0, 0.005, 0.05, 0.5, 1}[k%5])
+		if k%3 == 0 {
+			a.Normalize()
+			b.Normalize()
+		}
+		if k%97 == 0 {
+			b.Counts[r.Intn(len(b.Counts))] = []float64{math.NaN(), math.Inf(1), -2.5}[k%3]
+		}
+		want := Compare(a, b, Hellinger)
+		got := HellingerOccupied(a, a.Total(), NewOccupied(b))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d (%d bins): HellingerOccupied = %v, Compare = %v", k, bins, got, want)
 		}
 	}
 }

@@ -354,6 +354,11 @@ func (f *FloatGray) ToGrayIn(a *arena.Arena) *Gray {
 // truecolor PNGs that ToStdImage encodes, is read row by row from its
 // Pix buffer: its RGBA method widens each byte, so the high byte is the
 // stored R, G or B. Every other type takes the per-pixel At loop.
+//
+// The server decodes those PNGs with DecodePNG instead, but snbench's
+// oracle and its traced replay still decode with png.Decode and this
+// function; without the RGBA branch the replay's imaging.decode_ms
+// would slow down while serving sped up.
 func FromStdImage(src image.Image) *Image {
 	b := src.Bounds()
 	out := NewImage(b.Dx(), b.Dy())

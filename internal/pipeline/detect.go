@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 
@@ -69,33 +70,30 @@ const bgBinBits = 5
 
 // foregroundMask estimates the scene background by peeling dominant
 // colour modes from a coarse RGB histogram — peeling stops when the
-// next peak holds under 2% of the pixels — and returns a binary plane
-// with the remaining (foreground) pixels set. A pixel is background
-// when every channel sits within ±tol of some mode's colour. Working in
+// next peak holds under 2% of the pixels — and writes the binary mask
+// into s's trace plane, which it returns: 1 for the remaining
+// (foreground) pixels, 0 for background. A pixel is background when
+// every channel sits within ±tol of some mode's colour. Working in
 // colour space rather than luma keeps saturated objects whose
 // brightness happens to match the gray room surfaces in the
 // foreground; the single-object preprocessing cascade's extreme-polarity
 // threshold handles neither that nor multi-level backgrounds.
-func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
+//
+// The argmax and retire passes walk only the occupied bins, which the
+// count lists; an argmax tie goes to the lowest bin, as in a scan of
+// every bin.
+func foregroundMask(s *contour.Scratch, img *imaging.Image, tol int) []int8 {
 	const levels = 1 << bgBinBits
 	const shift = 8 - bgBinBits
-	// A bin counts at most W*H pixels, so int32 bins suffice at half
-	// the size of int ones.
-	hist := make([]int32, levels*levels*levels)
-	for i := 0; i < len(img.Pix); i += 3 {
-		idx := (int(img.Pix[i])>>shift)<<(2*bgBinBits) |
-			(int(img.Pix[i+1])>>shift)<<bgBinBits |
-			int(img.Pix[i+2])>>shift
-		hist[idx]++
-	}
+	hist, occ, same := countBins(img)
 	minPeak := (len(img.Pix) / 3) / 50
 	var modes [bgMaxModes][3]int
 	n := 0
 	for n < bgMaxModes {
 		best, bestC := -1, int32(0)
-		for v, c := range hist {
-			if c > bestC {
-				best, bestC = v, c
+		for _, v := range occ {
+			if cnt := hist[v]; cnt > bestC || cnt == bestC && int(v) < best {
+				best, bestC = int(v), cnt
 			}
 		}
 		if best < 0 || int(bestC) < minPeak {
@@ -110,18 +108,20 @@ func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
 		modes[n] = mode
 		n++
 		// Retire every bin whose centre the mode's window absorbs, so
-		// the next peak is a genuinely different surface colour.
-		for v := range hist {
-			if hist[v] == 0 {
-				continue
-			}
-			cr := (v>>(2*bgBinBits))<<shift | 1<<(shift-1)
-			cg := (v>>bgBinBits&(levels-1))<<shift | 1<<(shift-1)
-			cb := (v&(levels-1))<<shift | 1<<(shift-1)
+		// the next peak is a genuinely different surface colour; the
+		// rest stay occupied.
+		kept := occ[:0]
+		for _, v := range occ {
+			cr := int(v>>(2*bgBinBits))<<shift | 1<<(shift-1)
+			cg := int(v>>bgBinBits&(levels-1))<<shift | 1<<(shift-1)
+			cb := int(v&(levels-1))<<shift | 1<<(shift-1)
 			if absInt(cr-mode[0]) <= tol && absInt(cg-mode[1]) <= tol && absInt(cb-mode[2]) <= tol {
 				hist[v] = 0
+			} else {
+				kept = append(kept, v)
 			}
 		}
+		occ = kept
 	}
 	// lut[c][v] has bit j set when channel value v lies within ±tol of
 	// mode j's channel c, so a pixel is background exactly when the
@@ -136,13 +136,83 @@ func foregroundMask(img *imaging.Image, tol int) *imaging.Gray {
 			}
 		}
 	}
-	fg := imaging.NewGray(img.W, img.H)
-	for p, i := 0, 0; p < len(fg.Pix); p, i = p+1, i+3 {
-		if lut[0][img.Pix[i]]&lut[1][img.Pix[i+1]]&lut[2][img.Pix[i+2]] == 0 {
-			fg.Pix[p] = 255
+	f := s.Plane(img.W, img.H)
+	maskRows(f, img, same, &lut)
+	return f
+}
+
+// countBins returns img's background-mode histogram, the list of its
+// occupied bins, and which rows repeat the row above, as most rows of
+// a clean scene do. A run of equal rows is counted once, each of its
+// pixels weighted by the run's length, and a run of one bin along a
+// row counts in a register.
+func countBins(img *imaging.Image) (hist []int32, occ []uint16, same []bool) {
+	const shift = 8 - bgBinBits
+	// A bin counts at most W*H pixels, so int32 bins suffice at half
+	// the size of int ones.
+	hist = make([]int32, 1<<(3*bgBinBits))
+	// Room for the occupied bins of snbench's noisiest scene (1,512); a
+	// clean scene occupies a few dozen.
+	occ = make([]uint16, 0, 2048)
+	same = make([]bool, img.H)
+	pix, stride := img.Pix, 3*img.W
+	for y := 0; y < img.H; {
+		row := pix[y*stride:][:stride]
+		k := 1
+		for y+k < img.H && bytes.Equal(pix[(y+k)*stride:][:stride], row) {
+			same[y+k] = true
+			k++
+		}
+		bin, run := 0, int32(0)
+		for i := 0; i+3 <= len(row); i += 3 {
+			p := row[i : i+3 : i+3]
+			b := int(p[0]>>shift)<<(2*bgBinBits) | int(p[1]>>shift)<<bgBinBits | int(p[2]>>shift)
+			if b == bin {
+				run++
+				continue
+			}
+			occ = countRun(hist, occ, bin, run*int32(k))
+			bin, run = b, 1
+		}
+		occ = countRun(hist, occ, bin, run*int32(k))
+		y += k
+	}
+	return hist, occ, same
+}
+
+// countRun adds a run of n pixels to bin, listing the bin as occupied
+// on its first count.
+func countRun(hist []int32, occ []uint16, bin int, n int32) []uint16 {
+	if n == 0 {
+		return occ
+	}
+	if hist[bin] == 0 {
+		occ = append(occ, uint16(bin))
+	}
+	hist[bin] += n
+	return occ
+}
+
+// maskRows writes img's foreground mask into the interior of the trace
+// plane f: 1 where the pixel's three lookup entries share no mode bit,
+// 0 where they do. A row that repeats the row above (same) repeats its
+// cells.
+func maskRows(f []int8, img *imaging.Image, same []bool, lut *[3][256]uint8) {
+	pix, stride := img.Pix, img.W+2
+	for y := 0; y < img.H; y++ {
+		row := f[(y+1)*stride+1:][:img.W]
+		if same[y] {
+			copy(row, f[y*stride+1:])
+			continue
+		}
+		px := pix[3*img.W*y:][:3*img.W]
+		for x := range row {
+			p := px[3*x : 3*x+3 : 3*x+3]
+			// m-1 wraps to all ones exactly when m is 0.
+			m := lut[0][p[0]] & lut[1][p[1]] & lut[2][p[2]]
+			row[x] = int8((uint32(m) - 1) >> 31)
 		}
 	}
-	return fg
 }
 
 func absInt(v int) int {
@@ -152,24 +222,16 @@ func absInt(v int) int {
 	return v
 }
 
-// ProposeRegions runs contour-based region proposal on a scene image:
-// foreground masking by background-mode peeling, Suzuki-Abe border
-// tracing, area filtering of the outer borders, padded bounding boxes
-// with nested boxes suppressed, ordered top-to-bottom then
-// left-to-right and capped at MaxRegions. The ordering is a pure
-// function of the image, so proposals are deterministic.
-func ProposeRegions(img *imaging.Image, p DetectParams) []geom.Rect {
-	p = p.withDefaults()
-	return proposeFrom(img, foregroundMask(img, p.BgTol), p)
-}
-
-// proposeFrom is the proposal body over an already-computed foreground
-// mask, shared by ProposeRegions and ProposeCrops. It needs each
-// border's hole flag, area and box only, so it traces summaries and
-// stores no border points.
-func proposeFrom(img *imaging.Image, fg *imaging.Gray, p DetectParams) []geom.Rect {
-	var boxes []geom.Rect
-	contour.TraceBorders(fg, func(b contour.Border) {
+// proposeFrom is the proposal body over the filled trace plane f:
+// Suzuki-Abe border tracing, area filtering of the outer borders,
+// padded bounding boxes with nested boxes suppressed, ordered
+// top-to-bottom then left-to-right and capped at MaxRegions. It needs
+// each border's hole flag, area and box only, so it traces summaries
+// and stores no border points. The ordering is a pure function of the
+// image, so proposals are deterministic.
+func proposeFrom(img *imaging.Image, f []int8, p DetectParams) []geom.Rect {
+	boxes := make([]geom.Rect, 0, 16)
+	contour.TraceBorders(f, img.W, img.H, func(b contour.Border) {
 		if b.Hole || b.Area < p.MinArea {
 			return
 		}
@@ -208,22 +270,30 @@ func proposeFrom(img *imaging.Image, fg *imaging.Gray, p DetectParams) []geom.Re
 	return kept
 }
 
-// ProposeCrops returns the proposal regions together with their
-// NYU-style masked crops: background pixels inside each box are
-// blackened, so a crop looks exactly like the segmented region masks
-// the single-object pipelines were built for. The serving layer fans
-// these crops out over its worker slots; Detect classifies them
-// in-process.
+// ProposeCrops runs contour-based region proposal on a scene image —
+// foreground masking by background-mode peeling, then proposeFrom —
+// and returns the regions together with their NYU-style masked crops:
+// background pixels inside each box are blackened, so a crop looks
+// exactly like the segmented region masks the single-object pipelines
+// were built for. The serving layer fans these crops out over its
+// worker slots; Detect classifies them in-process.
+//
+// Its working set (histogram, trace plane) is allocated per call, not
+// pooled: pooled, it stays live between requests, and the garbage
+// collector's heap goal doubles what stays live.
 func ProposeCrops(img *imaging.Image, p DetectParams) ([]geom.Rect, []*imaging.Image) {
 	p = p.withDefaults()
-	fg := foregroundMask(img, p.BgTol)
-	regions := proposeFrom(img, fg, p)
+	var s contour.Scratch
+	f := foregroundMask(&s, img, p.BgTol)
+	regions := proposeFrom(img, f, p)
 	crops := make([]*imaging.Image, len(regions))
+	stride := img.W + 2
 	for i, b := range regions {
 		crop := img.Crop(b)
 		for y := 0; y < crop.H; y++ {
-			for x := 0; x < crop.W; x++ {
-				if fg.Pix[(b.MinY+y)*fg.W+(b.MinX+x)] == 0 {
+			// Tracing leaves background cells of the plane at zero.
+			for x, v := range f[(b.MinY+y+1)*stride+b.MinX+1:][:crop.W] {
+				if v == 0 {
 					q := (y*crop.W + x) * 3
 					crop.Pix[q], crop.Pix[q+1], crop.Pix[q+2] = 0, 0, 0
 				}

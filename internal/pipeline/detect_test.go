@@ -126,7 +126,7 @@ func TestDetectStatefulPipelineDeterministic(t *testing.T) {
 func TestDetectEdgeCases(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		sc := synth.ComposeSceneP(synth.SceneParams{W: 200, H: 160, Seed: 2, Clutter: 6})
-		if regions := ProposeRegions(sc.Image, DetectParams{}); len(regions) != 0 {
+		if regions, _ := ProposeCrops(sc.Image, DetectParams{}); len(regions) != 0 {
 			t.Errorf("empty scene proposed %d regions: %+v", len(regions), regions)
 		}
 		if dets := Detect(sc.Image, DefaultHybrid(WeightedSum), gallery1, DetectParams{}); len(dets) != 0 {
@@ -142,7 +142,7 @@ func TestDetectEdgeCases(t *testing.T) {
 		if sc.Objects[0].Occluded < 0.2 {
 			t.Fatalf("fixture: first object barely occluded (%v)", sc.Objects[0].Occluded)
 		}
-		regions := ProposeRegions(sc.Image, DetectParams{})
+		regions, _ := ProposeCrops(sc.Image, DetectParams{})
 		if len(regions) != 1 {
 			t.Errorf("stacked objects proposed %d regions, want 1: %+v", len(regions), regions)
 		}

@@ -67,8 +67,9 @@ type View struct {
 type Gallery struct {
 	Views []View
 
-	mu  sync.RWMutex // guards lazy Desc/idx writes during concurrent Classify
-	idx map[DescriptorKind]*DescriptorIndex
+	mu     sync.RWMutex // guards lazy Desc/idx/colors writes during concurrent Classify
+	idx    map[DescriptorKind]*DescriptorIndex
+	colors []histogram.Occupied // per view; built on the first Hellinger query
 }
 
 // NewGallery preprocesses every sample of the reference set (§3.2
@@ -177,6 +178,31 @@ func (g *Gallery) descriptorIndex(kind DescriptorKind, p DescriptorParams) *Desc
 		ix = cur
 	} else {
 		g.idx[kind] = ix
+	}
+	g.mu.Unlock()
+	return ix
+}
+
+// colorIndex returns each view's occupied histogram bins, building and
+// caching them on first use the way descriptorIndex builds its index.
+// It is not built at snapshot load: a gallery no colour query touches
+// never reads its histogram pages.
+func (g *Gallery) colorIndex() []histogram.Occupied {
+	g.mu.RLock()
+	ix := g.colors
+	g.mu.RUnlock()
+	if ix != nil {
+		return ix
+	}
+	ix = make([]histogram.Occupied, len(g.Views))
+	for i := range g.Views {
+		ix[i] = histogram.NewOccupied(g.Views[i].Hist)
+	}
+	g.mu.Lock()
+	if g.colors != nil {
+		ix = g.colors
+	} else {
+		g.colors = ix
 	}
 	g.mu.Unlock()
 	return ix

@@ -69,7 +69,8 @@ func (p Hybrid) Name() string {
 // the per-view score vector all run on a pooled context, so the warm
 // WeightedSum query path performs no heap allocation (the averaging
 // strategies still build their grouping maps); results are identical to
-// computing from scratch.
+// computing from scratch. Hellinger scores sum over each view's
+// occupied bins (the gallery's colour index), bit-equal to Compare.
 func (p Hybrid) Classify(img *imaging.Image, g *Gallery) Prediction {
 	c := getPrepCtx()
 	pre := c.preprocess(img)
@@ -77,9 +78,19 @@ func (p Hybrid) Classify(img *imaging.Image, g *Gallery) Prediction {
 	h := histOfIn(c.a, pre)
 
 	theta := arena.Slice[float64](c.a, g.Len())
+	var occ []histogram.Occupied
+	var sa float64
+	if p.ColorMetric == histogram.Hellinger {
+		occ, sa = g.colorIndex(), h.Total()
+	}
 	for i := range g.Views {
 		s := moments.MatchShapes(hu, g.Views[i].Hu, p.ShapeMethod)
-		d := histogram.Distance(histogram.Compare(h, g.Views[i].Hist, p.ColorMetric), p.ColorMetric)
+		var d float64
+		if occ != nil {
+			d = histogram.HellingerOccupied(h, sa, occ[i]) // Distance is the identity on Hellinger
+		} else {
+			d = histogram.Distance(histogram.Compare(h, g.Views[i].Hist, p.ColorMetric), p.ColorMetric)
+		}
 		theta[i] = p.Alpha*s + p.Beta*d
 	}
 

@@ -132,12 +132,24 @@ func (p ColorOnly) Name() string { return "Color only " + p.Metric.String() }
 // Classify implements Pipeline. Preprocessing and the query histogram
 // run on a pooled context, so the warm query path performs no heap
 // allocation; results are identical to computing from scratch.
+// Hellinger sums over each view's occupied bins (the gallery's colour
+// index), bit-equal to Compare.
 func (p ColorOnly) Classify(img *imaging.Image, g *Gallery) Prediction {
 	c := getPrepCtx()
 	h := histOfIn(c.a, c.preprocess(img))
+	var occ []histogram.Occupied
+	var sa float64
+	if p.Metric == histogram.Hellinger {
+		occ, sa = g.colorIndex(), h.Total()
+	}
 	best := Prediction{Index: -1}
 	for i := range g.Views {
-		s := histogram.Compare(h, g.Views[i].Hist, p.Metric)
+		var s float64
+		if occ != nil {
+			s = histogram.HellingerOccupied(h, sa, occ[i])
+		} else {
+			s = histogram.Compare(h, g.Views[i].Hist, p.Metric)
+		}
 		better := false
 		if best.Index < 0 {
 			better = true

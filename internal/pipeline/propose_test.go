@@ -155,13 +155,30 @@ func maskTestImages(r *rng.RNG) []*imaging.Image {
 	return imgs
 }
 
-// TestForegroundMaskMatchesReference requires the table-driven mask to
-// equal the per-mode loop's at tolerances from 1 to past 255.
+// maskOfPlane reads the binary image a filled trace plane holds as a
+// Gray, 255 where a cell is not zero.
+func maskOfPlane(f []int8, w, h int) *imaging.Gray {
+	g := imaging.NewGray(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if f[(y+1)*(w+2)+x+1] != 0 {
+				g.Pix[y*w+x] = 255
+			}
+		}
+	}
+	return g
+}
+
+// TestForegroundMaskMatchesReference requires the occupied-bin,
+// table-driven mask in the trace plane to equal the per-mode loop's at
+// tolerances from 1 to past 255, with one scratch plane reused across
+// every image, so a stale plane cell would show.
 func TestForegroundMaskMatchesReference(t *testing.T) {
 	r := rng.New(233)
+	var s contour.Scratch
 	for k, img := range maskTestImages(r) {
 		for _, tol := range []int{1, 4, 12, 40, 255, 1000} {
-			want, got := foregroundMaskRef(img, tol), foregroundMask(img, tol)
+			want, got := foregroundMaskRef(img, tol), maskOfPlane(foregroundMask(&s, img, tol), img.W, img.H)
 			for i := range want.Pix {
 				if want.Pix[i] != got.Pix[i] {
 					t.Fatalf("image %d (%dx%d) tol %d: pixel %d = %d, want %d", k, img.W, img.H, tol, i, got.Pix[i], want.Pix[i])
@@ -171,9 +188,51 @@ func TestForegroundMaskMatchesReference(t *testing.T) {
 	}
 }
 
-// TestProposalsMatchReference requires ProposeRegions and ProposeCrops
-// to return the reference proposal's boxes, in order, with each crop
-// its box of the scene with background pixels blackened.
+// TestCountMatchesPerPixelHistogram requires the run-weighted count to
+// equal one increment per pixel, its occupied list to hold each
+// non-zero bin once, and its repeated-row marks to match the rows.
+func TestCountMatchesPerPixelHistogram(t *testing.T) {
+	r := rng.New(235)
+	imgs := maskTestImages(r)
+	// Rows repeating in runs, and a raster that is one colour.
+	striped := imaging.NewImage(9, 12)
+	for y := 0; y < striped.H; y++ {
+		for x := 0; x < striped.W; x++ {
+			striped.Set(x, y, imaging.C(uint8(40*(y/4)), uint8(8*x), 200))
+		}
+	}
+	imgs = append(imgs, striped, imaging.NewImageFilled(5, 7, imaging.C(1, 2, 3)))
+	for k, img := range imgs {
+		const shift = 8 - bgBinBits
+		hist, occ, same := countBins(img)
+		want := make([]int32, len(hist))
+		for i := 0; i < len(img.Pix); i += 3 {
+			want[int(img.Pix[i]>>shift)<<(2*bgBinBits)|int(img.Pix[i+1]>>shift)<<bgBinBits|int(img.Pix[i+2]>>shift)]++
+		}
+		listed := map[uint16]bool{}
+		for _, v := range occ {
+			if listed[v] || want[v] == 0 {
+				t.Fatalf("image %d: bin %d listed twice or empty", k, v)
+			}
+			listed[v] = true
+		}
+		for v, n := range want {
+			if hist[v] != n || (n != 0) != listed[uint16(v)] {
+				t.Fatalf("image %d: bin %d counts %d (listed %v), want %d", k, v, hist[v], listed[uint16(v)], n)
+			}
+		}
+		s := 3 * img.W
+		for y := range same {
+			if want := y > 0 && string(img.Pix[y*s:(y+1)*s]) == string(img.Pix[(y-1)*s:y*s]); same[y] != want {
+				t.Fatalf("image %d: row %d marked same=%v, want %v", k, y, same[y], want)
+			}
+		}
+	}
+}
+
+// TestProposalsMatchReference requires ProposeCrops to return the
+// reference proposal's boxes, in order, with each crop its box of the
+// scene with background pixels blackened.
 func TestProposalsMatchReference(t *testing.T) {
 	r := rng.New(234)
 	for k, img := range maskTestImages(r) {
@@ -187,23 +246,21 @@ func TestProposalsMatchReference(t *testing.T) {
 }
 
 // checkProposals checks one image's proposals against the reference
-// path: the same boxes from ProposeRegions and ProposeCrops, every box
-// inside the image, and every crop equal to its box with the
-// background blackened.
+// path: the same boxes from ProposeCrops, every box inside the image,
+// and every crop equal to its box with the background blackened.
 func checkProposals(t *testing.T, img *imaging.Image, dp DetectParams) {
 	t.Helper()
 	p := dp.withDefaults()
 	fg := foregroundMaskRef(img, p.BgTol)
 	want := proposeFromRef(img, fg, p)
-	regions := ProposeRegions(img, dp)
 	boxes, crops := ProposeCrops(img, dp)
-	if len(regions) != len(want) || len(boxes) != len(want) || len(crops) != len(want) {
-		t.Errorf("%d regions, %d boxes, %d crops; want %d boxes", len(regions), len(boxes), len(crops), len(want))
+	if len(boxes) != len(want) || len(crops) != len(want) {
+		t.Errorf("%d boxes, %d crops; want %d boxes", len(boxes), len(crops), len(want))
 		return
 	}
 	for i, b := range want {
-		if regions[i] != b || boxes[i] != b {
-			t.Errorf("box %d: regions %+v, crops %+v; want %+v", i, regions[i], boxes[i], b)
+		if boxes[i] != b {
+			t.Errorf("box %d: %+v, want %+v", i, boxes[i], b)
 			return
 		}
 		if b.MinX < 0 || b.MinY < 0 || b.MaxX > img.W || b.MaxY > img.H || b.Empty() {
@@ -231,10 +288,11 @@ func checkProposals(t *testing.T, img *imaging.Image, dp DetectParams) {
 }
 
 // TestProposeCropsAllocsIndependentOfBorderPoints is the proposal
-// allocation gate: ProposeCrops allocates a fixed working set
-// (histogram, mask, trace plane, box list) plus a header and pixels per
-// crop, however many border points the scene's noise produces. The
-// noisy scene traces about 30k border points over 2.5k borders.
+// allocation gate: ProposeCrops allocates its working set (histogram,
+// occupied bins, repeated-row marks, trace plane, box list) and the
+// crop list, plus a header and pixels per crop, however many border
+// points the scene's noise produces. The noisy scene traces about 30k
+// border points over 2.5k borders.
 func TestProposeCropsAllocsIndependentOfBorderPoints(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -250,7 +308,7 @@ func TestProposeCropsAllocsIndependentOfBorderPoints(t *testing.T) {
 			boxes, _ := ProposeCrops(sc.Image, DetectParams{})
 			regions = len(boxes)
 		})
-		if limit := 12 + 2*regions; allocs > float64(limit) {
+		if limit := 6 + 2*regions; allocs > float64(limit) {
 			t.Errorf("noise %v: ProposeCrops allocates %.0f times for %d regions, want <= %d", noise, allocs, regions, limit)
 		}
 		t.Logf("noise %v: %.0f allocs for %d regions", noise, allocs, regions)
@@ -278,10 +336,11 @@ func FuzzProposeCrops(f *testing.F) {
 		checkProposals(t, img, DetectParams{BgTol: tol})
 		checkProposals(t, img, DetectParams{BgTol: tol, MinArea: 1, Pad: 1})
 
-		fg := foregroundMask(img, tol)
-		cs := contour.FindContours(fg)
+		var s contour.Scratch
+		f := foregroundMask(&s, img, tol)
+		cs := contour.FindContours(maskOfPlane(f, w, h))
 		i := 0
-		contour.TraceBorders(fg, func(b contour.Border) {
+		contour.TraceBorders(f, w, h, func(b contour.Border) {
 			if i >= len(cs) {
 				t.Fatalf("more borders than the %d contours", len(cs))
 			}

@@ -7,6 +7,7 @@ import (
 	"image"
 	"image/png"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,22 +38,39 @@ func encodeRGBA(t testing.TB, w, h int) []byte {
 }
 
 // TestDecodeAllocsIndependentOfSize is the decode allocation gate:
-// decodePNG allocates per image, not per pixel, so a 320x240 body costs
-// the same handful of allocations as a 64x64 one.
+// decodePNG inflates an opaque truecolor body straight into the
+// returned raster through a pooled zlib reader, so it makes the same
+// three allocations (the image, its pixels, the adler32 digest) at
+// 64x64 as at 320x240, and allocates the raster's bytes plus a small
+// constant.
 func TestDecodeAllocsIndependentOfSize(t *testing.T) {
-	allocs := func(w, h int) float64 {
-		body := encodeRGBA(t, w, h)
-		return testing.AllocsPerRun(10, func() {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	for _, size := range [][2]int{{64, 64}, {320, 240}} {
+		body := encodeRGBA(t, size[0], size[1])
+		decode := func() {
 			if _, err := decodePNG(body, 1<<20); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(10, decode)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+		// A large raster is rounded up to whole 8 KiB pages.
+		raster := uint64(3 * size[0] * size[1])
+		if allocs > 3 || perDecode > raster+8<<10+1<<10 {
+			t.Errorf("%dx%d: decodePNG allocates %.0f times and %d B; want <= 3 times and the %d B raster plus 9 KiB",
+				size[0], size[1], allocs, perDecode, raster)
+		}
+		t.Logf("%dx%d: %.0f allocs, %d B (raster %d B)", size[0], size[1], allocs, perDecode, raster)
 	}
-	small, large := allocs(64, 64), allocs(320, 240)
-	if large-small >= 8 || small-large >= 8 {
-		t.Errorf("decodePNG allocates %.0f times at 64x64 and %.0f at 320x240; want within 8", small, large)
-	}
-	t.Logf("decodePNG allocs: %.0f at 64x64, %.0f at 320x240", small, large)
 }
 
 // fuzzMaxPixels is FuzzDecodeImages' pixel cap: small, so the seed

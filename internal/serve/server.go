@@ -488,8 +488,13 @@ func decodeImages(r *http.Request, maxImages, maxPixels int) ([]*imaging.Image, 
 // decodePNG decodes one PNG, rejecting rasters whose decoded pixel
 // count exceeds maxPixels before the full (potentially enormous)
 // decode runs — the byte cap upstream cannot bound this, since a tiny
-// compressed stream can declare arbitrary dimensions.
+// compressed stream can declare arbitrary dimensions. The 8-bit
+// truecolor bodies every client sends take imaging.DecodePNG; every
+// body it does not take, refused ones included, goes to image/png.
 func decodePNG(raw []byte, maxPixels int) (*imaging.Image, error) {
+	if img, ok := imaging.DecodePNG(raw, maxPixels); ok {
+		return img, nil
+	}
 	cfg, err := png.DecodeConfig(bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("serve: decode png: %w", err)
