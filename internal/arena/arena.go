@@ -9,7 +9,10 @@
 //
 // Loans are zeroed on checkout, so arena-backed buffers are
 // indistinguishable from make()'d ones and pooled extraction stays
-// byte-identical to fresh extraction. An Arena is not safe for
+// byte-identical to fresh extraction. The one exception is Unzeroed,
+// for float32 buffers their caller writes in full before reading; under
+// the race detector it fills them with NaN, so a read before the write
+// changes the output instead of passing unseen. An Arena is not safe for
 // concurrent use: each worker (or in-flight request) owns its own, which
 // is exactly the per-worker extraction-context discipline the pipeline
 // and serving layers enforce.
@@ -20,6 +23,7 @@
 package arena
 
 import (
+	"math"
 	"math/bits"
 	"reflect"
 	"sync/atomic"
@@ -180,6 +184,20 @@ func Cap[T any](a *Arena, n int) []T {
 		return make([]T, 0)
 	}
 	return poolOf[T](a).loan(n, &a.bytes)[:0]
+}
+
+// Unzeroed is Slice[float32] without the clear, for a buffer whose
+// caller writes every element before reading it. Under the race
+// detector every loan, the nil arena's included, comes back filled with
+// 0xFF bytes, a NaN, so a read before the write shows in the results.
+func Unzeroed(a *Arena, n int) []float32 {
+	s := Cap[float32](a, n)[:n]
+	if raceEnabled {
+		for i := range s {
+			s[i] = math.Float32frombits(^uint32(0))
+		}
+	}
+	return s
 }
 
 // NewOf returns a pointer to a zeroed T backed by the arena — the pooled

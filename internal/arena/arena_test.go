@@ -1,6 +1,9 @@
 package arena
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNilArenaFallsBackToHeap(t *testing.T) {
 	s := Slice[float32](nil, 5)
@@ -138,5 +141,42 @@ func TestWarmArenaDoesNotAllocate(t *testing.T) {
 	shape() // warm the free lists
 	if n := testing.AllocsPerRun(200, shape); n != 0 {
 		t.Fatalf("warm arena allocated %.1f times per run, want 0", n)
+	}
+}
+
+// TestUnzeroedReusesBuffers: an unzeroed loan draws from the same free
+// lists as Slice, and the nil arena falls back to the heap.
+func TestUnzeroedReusesBuffers(t *testing.T) {
+	if s := Unzeroed(nil, 5); len(s) != 5 {
+		t.Fatalf("Unzeroed(nil) len = %d, want 5", len(s))
+	}
+	a := New()
+	s := Slice[float32](a, 100)
+	a.Reset()
+	u := Unzeroed(a, 90)
+	if len(u) != 90 || &u[0] != &s[0] {
+		t.Fatal("Unzeroed did not reuse the reset buffer")
+	}
+}
+
+// TestUnzeroedPoisonedUnderRace: under the race detector every
+// unzeroed loan, fresh, reused or from the nil arena, reads as
+// all-ones bits, a NaN. CI's race step runs it.
+func TestUnzeroedPoisonedUnderRace(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("unzeroed loans are poisoned only under the race detector")
+	}
+	a := New()
+	for round := 0; round < 2; round++ {
+		s := Unzeroed(a, 37)
+		for i, v := range append(s, Unzeroed(nil, 5)...) {
+			if math.Float32bits(v) != ^uint32(0) || !math.IsNaN(float64(v)) {
+				t.Fatalf("round %d: element %d = %#08x, want all ones", round, i, math.Float32bits(v))
+			}
+		}
+		for i := range s {
+			s[i] = 1
+		}
+		a.Reset()
 	}
 }

@@ -4,5 +4,5 @@ package arena
 
 // raceEnabled reports whether the race detector is compiled in; the
 // allocation-count gates skip under it because instrumentation changes
-// allocation accounting.
+// allocation accounting, and Unzeroed poisons its loans under it.
 const raceEnabled = false

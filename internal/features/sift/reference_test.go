@@ -7,13 +7,42 @@ import (
 	"snmatch/internal/dataset"
 	"snmatch/internal/imaging"
 	"snmatch/internal/rng"
+	"snmatch/internal/simd"
 )
 
 // The reference paths below are the per-pixel forms the extractor had
-// before its hot loops were restructured: every neighbour and gradient
-// read through At, every square of the descriptor window visited, and
-// package math called once per sample. The tests require the
-// restructured extractor to reproduce them bit for bit.
+// before its hot loops were restructured: a stored DoG pyramid, every
+// neighbour and gradient read through At, every square of the
+// descriptor window visited, and package math called once per sample.
+// The tests require the restructured extractor to reproduce them bit
+// for bit. They carry the extractor's explicit float conversions, so
+// neither side fuses a multiply-add on arm64 and both run the same
+// float operations on every GOARCH.
+
+// buildDoGPyramid stores every DoG layer of every octave, each pixel
+// the float32 difference of the two Gaussian layers.
+func buildDoGPyramid(gauss [][]*imaging.FloatGray) [][]*imaging.FloatGray {
+	dog := make([][]*imaging.FloatGray, len(gauss))
+	for o := range gauss {
+		dog[o] = make([]*imaging.FloatGray, len(gauss[o])-1)
+		for i := range dog[o] {
+			hi, lo := gauss[o][i+1], gauss[o][i]
+			d := imaging.NewFloatGray(hi.W, hi.H)
+			for j := range d.Pix {
+				d.Pix[j] = hi.Pix[j] - lo.Pix[j]
+			}
+			dog[o][i] = d
+		}
+	}
+	return dog
+}
+
+func absf(v float32) float32 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
 
 func refIsExtremum(prev, cur, next *imaging.FloatGray, x, y int, v float32) bool {
 	if v > 0 {
@@ -65,13 +94,81 @@ func refCandidates(dog [][]*imaging.FloatGray, p Params) [][4]int {
 	return out
 }
 
+// refAdjustLocalExtremum is adjustLocalExtremum over the stored DoG
+// rasters of one octave.
+func refAdjustLocalExtremum(dogOct []*imaging.FloatGray, octave, layer, x, y int, p Params) (internalKp, bool) {
+	nLayers := p.NOctaveLayers
+	var xi, xr, xc float64
+	var contr float64
+	i := 0
+	for ; i < maxInterpSteps; i++ {
+		prev, cur, next := dogOct[layer-1], dogOct[layer], dogOct[layer+1]
+		dx := 0.5 * float64(cur.At(x+1, y)-cur.At(x-1, y))
+		dy := 0.5 * float64(cur.At(x, y+1)-cur.At(x, y-1))
+		ds := 0.5 * float64(next.At(x, y)-prev.At(x, y))
+		v2 := 2 * float64(cur.At(x, y))
+		dxx := float64(cur.At(x+1, y)+cur.At(x-1, y)) - v2
+		dyy := float64(cur.At(x, y+1)+cur.At(x, y-1)) - v2
+		dss := float64(next.At(x, y)+prev.At(x, y)) - v2
+		dxy := 0.25 * float64(cur.At(x+1, y+1)-cur.At(x-1, y+1)-cur.At(x+1, y-1)+cur.At(x-1, y-1))
+		dxs := 0.25 * float64(next.At(x+1, y)-next.At(x-1, y)-prev.At(x+1, y)+prev.At(x-1, y))
+		dys := 0.25 * float64(next.At(x, y+1)-next.At(x, y-1)-prev.At(x, y+1)+prev.At(x, y-1))
+
+		sx, sy, ss, ok := solve3(dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss, -dx, -dy, -ds)
+		if !ok {
+			return internalKp{}, false
+		}
+		xc, xr, xi = sx, sy, ss
+		if math.Abs(xc) < 0.5 && math.Abs(xr) < 0.5 && math.Abs(xi) < 0.5 {
+			contr = float64(cur.At(x, y)) + float64(0.5*(float64(dx*xc)+float64(dy*xr)+float64(ds*xi)))
+			break
+		}
+		x += int(math.Round(xc))
+		y += int(math.Round(xr))
+		layer += int(math.Round(xi))
+		if layer < 1 || layer > nLayers ||
+			x < imgBorder || x >= cur.W-imgBorder ||
+			y < imgBorder || y >= cur.H-imgBorder {
+			return internalKp{}, false
+		}
+	}
+	if i >= maxInterpSteps {
+		return internalKp{}, false
+	}
+	if math.Abs(contr)*float64(nLayers) < p.ContrastThreshold {
+		return internalKp{}, false
+	}
+	cur := dogOct[layer]
+	v2 := 2 * float64(cur.At(x, y))
+	dxx := float64(cur.At(x+1, y)+cur.At(x-1, y)) - v2
+	dyy := float64(cur.At(x, y+1)+cur.At(x, y-1)) - v2
+	dxy := 0.25 * float64(cur.At(x+1, y+1)-cur.At(x-1, y+1)-cur.At(x+1, y-1)+cur.At(x-1, y-1))
+	tr := dxx + dyy
+	det := float64(dxx*dyy) - float64(dxy*dxy)
+	e := p.EdgeThreshold
+	if det <= 0 || tr*tr*e >= (e+1)*(e+1)*det {
+		return internalKp{}, false
+	}
+
+	sclOctv := float32(p.Sigma * math.Pow(2, (float64(layer)+xi)/float64(nLayers)))
+	return internalKp{
+		x:        float32(float64(x) + xc),
+		y:        float32(float64(y) + xr),
+		octave:   octave,
+		layer:    layer,
+		sclOctv:  sclOctv,
+		size:     float32(sclOctv*float32(math.Pow(2, float64(octave)))) * 2,
+		response: float32(math.Abs(contr)),
+	}, true
+}
+
 func refAppendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp internalKp) []internalKp {
 	img := gaussOct[kp.layer]
 	radius := int(math.Round(float64(orientRadius) * float64(kp.sclOctv)))
 	if radius < 1 {
 		radius = 1
 	}
-	sigma := orientSigmaFac * float64(kp.sclOctv)
+	sigma := float64(orientSigmaFac * float64(kp.sclOctv))
 	expDenom := 2 * sigma * sigma
 	x0, y0 := int(math.Round(float64(kp.x))), int(math.Round(float64(kp.y)))
 
@@ -93,14 +190,14 @@ func refAppendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp i
 			wgt := math.Exp(-(float64(dx*dx) + float64(dy*dy)) / expDenom)
 			bin := int(math.Round(float64(orientBins) * (ori + math.Pi) / (2 * math.Pi)))
 			bin = ((bin % orientBins) + orientBins) % orientBins
-			hist[bin] += wgt * mag
+			hist[bin] += float64(wgt * mag)
 		}
 	}
 	var smooth [orientBins]float64
 	for i := 0; i < orientBins; i++ {
-		smooth[i] = (hist[(i-2+orientBins)%orientBins]+hist[(i+2)%orientBins])*(1.0/16) +
-			(hist[(i-1+orientBins)%orientBins]+hist[(i+1)%orientBins])*(4.0/16) +
-			hist[i]*(6.0/16)
+		smooth[i] = float64((hist[(i-2+orientBins)%orientBins]+hist[(i+2)%orientBins])*(1.0/16)) +
+			float64((hist[(i-1+orientBins)%orientBins]+hist[(i+1)%orientBins])*(4.0/16)) +
+			float64(hist[i]*(6.0/16))
 	}
 	maxV := 0.0
 	for _, v := range smooth {
@@ -122,7 +219,7 @@ func refAppendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp i
 		}
 		bin := float64(i) + 0.5*(smooth[l]-smooth[r])/(smooth[l]-2*smooth[i]+smooth[r])
 		bin = math.Mod(bin+float64(orientBins), float64(orientBins))
-		angle := bin*(2*math.Pi/float64(orientBins)) - math.Pi
+		angle := float64(bin*(2*math.Pi/float64(orientBins))) - math.Pi
 		if angle < 0 {
 			angle += 2 * math.Pi
 		}
@@ -155,8 +252,8 @@ func refComputeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []fl
 	var hist [(descWidth + 2) * (descWidth + 2) * (descBins + 2)]float64
 	for dy := -radius; dy <= radius; dy++ {
 		for dx := -radius; dx <= radius; dx++ {
-			rotX := (cosA*float64(dx) + sinA*float64(dy)) / histWidth
-			rotY := (-sinA*float64(dx) + cosA*float64(dy)) / histWidth
+			rotX := (float64(cosA*float64(dx)) + float64(sinA*float64(dy))) / histWidth
+			rotY := (float64(-sinA*float64(dx)) + float64(cosA*float64(dy))) / histWidth
 			rBin := rotY + float64(d)/2 - 0.5
 			cBin := rotX + float64(d)/2 - 0.5
 			if rBin <= -1 || rBin >= float64(d) || cBin <= -1 || cBin >= float64(d) {
@@ -176,8 +273,8 @@ func refComputeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []fl
 			for ori >= 2*math.Pi {
 				ori -= 2 * math.Pi
 			}
-			oBin := ori * binsPerRad
-			wgt := math.Exp(-(rotX*rotX + rotY*rotY) / expDenom)
+			oBin := float64(ori * binsPerRad)
+			wgt := math.Exp(-(float64(rotX*rotX) + float64(rotY*rotY)) / expDenom)
 			v := mag * wgt
 
 			r0 := int(math.Floor(rBin))
@@ -213,7 +310,7 @@ func refComputeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []fl
 						if oo < 0 {
 							oo += n
 						}
-						hist[histIdx(rr, cc, oo)] += v * rw * cw * ow
+						hist[histIdx(rr, cc, oo)] += float64(v * rw * cw * ow)
 					}
 				}
 			}
@@ -252,41 +349,49 @@ func referenceScenes() []*imaging.Gray {
 	return scenes
 }
 
-// pyramids builds the Gaussian and DoG pyramids ExtractScratch builds,
-// and a scratch whose gradient rows fit them.
+// pyramids builds the Gaussian pyramid ExtractScratch builds, the
+// reference's stored DoG pyramid, and a scratch sized for them.
 func pyramids(g *imaging.Gray, p Params) (gauss, dog [][]*imaging.FloatGray, sc *Scratch) {
 	base := initialImage(g, true, p.Sigma, nil)
 	nOctaves := max(int(math.Round(math.Log2(float64(min(base.W, base.H)))))-2, 1)
 	gauss = buildGaussianPyramid(base, nOctaves, p.NOctaveLayers, p.Sigma, nil)
 	sc = new(Scratch)
-	sc.grad.reserve(base.W)
-	return gauss, buildDoGPyramid(gauss, nil), sc
+	sc.reserve(base.W)
+	return gauss, buildDoGPyramid(gauss), sc
 }
 
-// TestIsExtremumMatchesReference compares the row-slice neighbourhood
-// test with the At form at every interior pixel of random DoG-like
-// rasters, coarse ones (three levels, so neighbours tie) and fine ones,
-// for both signs of v.
+// TestIsExtremumMatchesReference compares the lane sweep's extremum
+// test, simd.ExtremaMask over four Gaussian layers, with the contrast
+// test and refIsExtremum over the stored DoG rasters, at every
+// interior pixel of random layers: coarse ones (three levels, so DoG
+// values tie) and fine ones, at both signs of v, and at widths that
+// leave every tail length.
 func TestIsExtremumMatchesReference(t *testing.T) {
 	r := rng.New(5)
-	for trial := 0; trial < 40; trial++ {
-		w, h := 3+r.Intn(20), 3+r.Intn(20)
-		var layers [3]*imaging.FloatGray
-		for k := range layers {
-			layers[k] = imaging.NewFloatGray(w, h)
-			for i := range layers[k].Pix {
+	for trial := 0; trial < 80; trial++ {
+		w, h := 3+trial%24, 3+r.Intn(20)
+		thr := float32([]float64{0, 0.5, 0.9}[trial%3])
+		gauss := make([]*imaging.FloatGray, 4)
+		for k := range gauss {
+			gauss[k] = imaging.NewFloatGray(w, h)
+			for i := range gauss[k].Pix {
 				if trial%2 == 0 {
-					layers[k].Pix[i] = float32(r.Intn(3) - 1)
+					gauss[k].Pix[i] = float32(r.Intn(3) - 1)
 				} else {
-					layers[k].Pix[i] = float32(r.Range(-1, 1))
+					gauss[k].Pix[i] = float32(r.Range(-1, 1))
 				}
 			}
 		}
+		dog := buildDoGPyramid([][]*imaging.FloatGray{gauss})[0]
+		n := w - 2
+		mask := make([]byte, (n+7)/8)
 		for y := 1; y < h-1; y++ {
+			at := (y - 1) * w // the block of pixel (1, y) starts at (0, y-1)
+			simd.ExtremaMask(mask, gauss[0].Pix[at:], gauss[1].Pix[at:], gauss[2].Pix[at:], gauss[3].Pix[at:], w, n, thr)
 			for x := 1; x < w-1; x++ {
-				v := layers[1].At(x, y)
-				want := refIsExtremum(layers[0], layers[1], layers[2], x, y, v)
-				if got := isExtremum(layers[0], layers[1], layers[2], x, y, v); got != want {
+				v := dog[1].At(x, y)
+				want := !(absf(v) <= thr) && refIsExtremum(dog[0], dog[1], dog[2], x, y, v)
+				if got := mask[(x-1)/8]>>((x-1)%8)&1 == 1; got != want {
 					t.Fatalf("trial %d (%dx%d) at (%d, %d), v %v: got %v, want %v", trial, w, h, x, y, v, got, want)
 				}
 			}
@@ -295,8 +400,9 @@ func TestIsExtremumMatchesReference(t *testing.T) {
 }
 
 // TestExtremaSweepMatchesReference runs findScaleSpaceExtrema over
-// real pyramids against the At sweep's candidates, each refined and
-// given its orientations by the same functions, in the same order.
+// real pyramids against the stored-DoG At sweep's candidates, each
+// refined by refAdjustLocalExtremum over the stored DoG rasters and
+// given its orientations by the same function, in the same order.
 func TestExtremaSweepMatchesReference(t *testing.T) {
 	p := Params{}.withDefaults()
 	for i, g := range referenceScenes() {
@@ -304,11 +410,11 @@ func TestExtremaSweepMatchesReference(t *testing.T) {
 		var want []internalKp
 		cands := refCandidates(dog, p)
 		for _, c := range cands {
-			if kp, ok := adjustLocalExtremum(dog[c[0]], c[0], c[1], c[2], c[3], p); ok {
+			if kp, ok := refAdjustLocalExtremum(dog[c[0]], c[0], c[1], c[2], c[3], p); ok {
 				want = appendOrientations(want, gauss[c[0]], kp, &sc.grad)
 			}
 		}
-		got := findScaleSpaceExtrema(gauss, dog, p, sc)
+		got := findScaleSpaceExtrema(gauss, p, sc)
 		if len(got) != len(want) {
 			t.Fatalf("scene %d: %d keypoints, reference sweep %d", i, len(got), len(want))
 		}
@@ -332,8 +438,8 @@ func TestDescriptorMatchesReference(t *testing.T) {
 	r := rng.New(13)
 	angles := []float32{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2, float32(math.Nextafter32(2*math.Pi, 0)), 1e-7}
 	for si, scene := range referenceScenes() {
-		gauss, dog, sc := pyramids(scene, p)
-		kps := findScaleSpaceExtrema(gauss, dog, p, sc)
+		gauss, _, sc := pyramids(scene, p)
+		kps := findScaleSpaceExtrema(gauss, p, sc)
 		g := &sc.grad
 		for o := range gauss {
 			img := gauss[o][0]

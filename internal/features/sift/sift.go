@@ -7,6 +7,7 @@ package sift
 
 import (
 	"math"
+	"math/bits"
 
 	"snmatch/internal/arena"
 	"snmatch/internal/features"
@@ -55,16 +56,18 @@ const (
 )
 
 // Scratch recycles SIFT's per-query working set: every raster of the
-// Gaussian and DoG pyramids, the convolution scratch and the returned
-// set come from the arena, and the candidate-keypoint accumulator and
-// the gradient row buffers are reusable spines that grow to the
-// workload's steady-state size once. A nil *Scratch allocates freshly,
-// exactly like Extract. One extraction may be in flight per Scratch
-// between arena Resets; the returned Set is invalid after the Reset.
+// Gaussian pyramid, the convolution scratch and the returned set come
+// from the arena, and the candidate-keypoint accumulator, the extrema
+// mask and the gradient row buffers are reusable spines that grow to
+// the workload's steady-state size once. A nil *Scratch allocates
+// freshly, exactly like Extract. One extraction may be in flight per
+// Scratch between arena Resets; the returned Set is invalid after the
+// Reset.
 type Scratch struct {
 	A *arena.Arena
 
 	kps  []internalKp
+	mask []byte
 	grad gradRow
 }
 
@@ -105,6 +108,15 @@ func (g *gradRow) run(n int) {
 	simd.GradientSamples(g.mag[:n], g.ori[:n], g.wgt[:n], g.gx[:n], g.gy[:n], g.arg[:n])
 }
 
+// reserve sizes the extrema mask and the gradient rows for octaves up
+// to w pixels wide.
+func (sc *Scratch) reserve(w int) {
+	if n := (w + 7) / 8; cap(sc.mask) < n {
+		sc.mask = make([]byte, n)
+	}
+	sc.grad.reserve(w)
+}
+
 // rows3 returns row y of img and its neighbour rows y-1 and y+1.
 func rows3(img *imaging.FloatGray, y int) (up, row, down []float32) {
 	w := img.W
@@ -126,7 +138,7 @@ func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
 	a := sc.A
 
 	base := initialImage(g, !p.NoDoubleImage, p.Sigma, a)
-	sc.grad.reserve(base.W) // no octave is wider than its base
+	sc.reserve(base.W) // no octave is wider than its base
 	minDim := base.W
 	if base.H < minDim {
 		minDim = base.H
@@ -137,9 +149,7 @@ func ExtractScratch(g *imaging.Gray, params Params, sc *Scratch) *features.Set {
 	}
 
 	gauss := buildGaussianPyramid(base, nOctaves, p.NOctaveLayers, p.Sigma, a)
-	dog := buildDoGPyramid(gauss, a)
-
-	kps := findScaleSpaceExtrema(gauss, dog, p, sc)
+	kps := findScaleSpaceExtrema(gauss, p, sc)
 	if p.MaxFeatures > 0 && len(kps) > p.MaxFeatures {
 		sortByResponse(kps)
 		kps = kps[:p.MaxFeatures]
@@ -200,10 +210,10 @@ func initialImage(g *imaging.Gray, double bool, sigma float64, a *arena.Arena) *
 	const cameraSigma = 0.5
 	if double {
 		f = f.ResizeBilinearIn(a, g.W*2, g.H*2)
-		diff := math.Sqrt(math.Max(sigma*sigma-4*cameraSigma*cameraSigma, 0.01))
+		diff := math.Sqrt(math.Max(float64(sigma*sigma)-4*cameraSigma*cameraSigma, 0.01))
 		return f.GaussianBlurIn(a, diff)
 	}
-	diff := math.Sqrt(math.Max(sigma*sigma-cameraSigma*cameraSigma, 0.01))
+	diff := math.Sqrt(math.Max(float64(sigma*sigma)-cameraSigma*cameraSigma, 0.01))
 	return f.GaussianBlurIn(a, diff)
 }
 
@@ -216,7 +226,7 @@ func buildGaussianPyramid(base *imaging.FloatGray, nOctaves, nLayers int, sigma 
 	for i := 1; i < perOct; i++ {
 		sigPrev := sigma * math.Pow(k, float64(i-1))
 		sigTotal := sigPrev * k
-		sig[i] = math.Sqrt(sigTotal*sigTotal - sigPrev*sigPrev)
+		sig[i] = math.Sqrt(float64(sigTotal*sigTotal) - float64(sigPrev*sigPrev))
 	}
 	pyr := arena.Slice[[]*imaging.FloatGray](a, nOctaves)
 	for o := 0; o < nOctaves; o++ {
@@ -235,41 +245,39 @@ func buildGaussianPyramid(base *imaging.FloatGray, nOctaves, nLayers int, sigma 
 	return pyr
 }
 
-func buildDoGPyramid(gauss [][]*imaging.FloatGray, a *arena.Arena) [][]*imaging.FloatGray {
-	dog := arena.Slice[[]*imaging.FloatGray](a, len(gauss))
-	for o := range gauss {
-		dog[o] = arena.Slice[*imaging.FloatGray](a, len(gauss[o])-1)
-		for i := 0; i+1 < len(gauss[o]); i++ {
-			dog[o][i] = gauss[o][i+1].SubtractIn(a, gauss[o][i])
-		}
-	}
-	return dog
-}
-
-func findScaleSpaceExtrema(gauss, dog [][]*imaging.FloatGray, p Params, sc *Scratch) []internalKp {
+// findScaleSpaceExtrema sweeps every DoG layer of every octave for
+// extrema and refines each one. The DoG values are never stored: the
+// sweep and the refinement read them as differences of adjacent
+// Gaussian layers. One simd.ExtremaMask call tests a row; its set bits
+// are the candidates, taken in ascending x.
+func findScaleSpaceExtrema(gauss [][]*imaging.FloatGray, p Params, sc *Scratch) []internalKp {
 	nLayers := p.NOctaveLayers
 	threshold := float32(0.5 * p.ContrastThreshold / float64(nLayers))
 	kps := sc.kps[:0]
-	for o := range dog {
+	for o, g := range gauss {
+		w, h := g[0].W, g[0].H
+		n := w - 2*imgBorder
+		if n <= 0 {
+			continue
+		}
+		mask := sc.mask[:(n+7)/8]
 		for layer := 1; layer <= nLayers; layer++ {
-			prev, cur, next := dog[o][layer-1], dog[o][layer], dog[o][layer+1]
-			w, h := cur.W, cur.H
+			g0, g1, g2, g3 := g[layer-1].Pix, g[layer].Pix, g[layer+1].Pix, g[layer+2].Pix
 			for y := imgBorder; y < h-imgBorder; y++ {
-				row := cur.Pix[y*w : (y+1)*w]
-				for x := imgBorder; x < w-imgBorder; x++ {
-					v := row[x]
-					if absf(v) <= threshold {
-						continue
+				// The block of the row's first tested pixel starts one
+				// row up and one column left of it.
+				at := (y-1)*w + imgBorder - 1
+				simd.ExtremaMask(mask, g0[at:], g1[at:], g2[at:], g3[at:], w, n, threshold)
+				for i, m := range mask {
+					for ; m != 0; m &= m - 1 {
+						x := imgBorder + 8*i + bits.TrailingZeros8(m)
+						kp, ok := adjustLocalExtremum(g, o, layer, x, y, p)
+						if !ok {
+							continue
+						}
+						// Orientation assignment may split the keypoint.
+						kps = appendOrientations(kps, g, kp, &sc.grad)
 					}
-					if !isExtremum(prev, cur, next, x, y, v) {
-						continue
-					}
-					kp, ok := adjustLocalExtremum(dog[o], o, layer, x, y, p)
-					if !ok {
-						continue
-					}
-					// Orientation assignment may split the keypoint.
-					kps = appendOrientations(kps, gauss[o], kp, &sc.grad)
 				}
 			}
 		}
@@ -280,62 +288,46 @@ func findScaleSpaceExtrema(gauss, dog [][]*imaging.FloatGray, p Params, sc *Scra
 	return kps
 }
 
-// isExtremum reports whether v, the value at (x, y) of cur, is an
-// extremum of its 3x3x3 neighbourhood: for v > 0 no neighbour in prev,
-// cur or next exceeds it, otherwise none falls below it. Each raster's
-// three rows are one Pix slice from (x-1, y-1) to (x+1, y+1). cur's
-// ring goes first, its own row first, because most candidates fail
-// there; the order of the comparisons cannot change the result.
-func isExtremum(prev, cur, next *imaging.FloatGray, x, y int, v float32) bool {
-	w := cur.W
-	i := y*w + x
-	c := cur.Pix[i-w-1 : i+w+2]
-	if v > 0 {
-		if c[w] > v || c[w+2] > v || c[0] > v || c[1] > v || c[2] > v || c[2*w] > v || c[2*w+1] > v || c[2*w+2] > v {
-			return false
-		}
-		for _, img := range [2]*imaging.FloatGray{prev, next} {
-			q := img.Pix[i-w-1 : i+w+2]
-			if q[w+1] > v || q[w] > v || q[w+2] > v || q[0] > v || q[1] > v || q[2] > v || q[2*w] > v || q[2*w+1] > v || q[2*w+2] > v {
-				return false
-			}
-		}
-		return true
-	}
-	if c[w] < v || c[w+2] < v || c[0] < v || c[1] < v || c[2] < v || c[2*w] < v || c[2*w+1] < v || c[2*w+2] < v {
-		return false
-	}
-	for _, img := range [2]*imaging.FloatGray{prev, next} {
-		q := img.Pix[i-w-1 : i+w+2]
-		if q[w+1] < v || q[w] < v || q[w+2] < v || q[0] < v || q[1] < v || q[2] < v || q[2*w] < v || q[2*w+1] < v || q[2*w+2] < v {
-			return false
-		}
-	}
-	return true
+// dogLayer is one DoG layer read from the two Gaussian layers it
+// subtracts: at returns the float32 difference a stored DoG raster
+// would hold.
+type dogLayer struct {
+	hi, lo *imaging.FloatGray
+}
+
+// dogOf returns DoG layer l of an octave's Gaussian layers.
+func dogOf(gaussOct []*imaging.FloatGray, l int) dogLayer {
+	return dogLayer{gaussOct[l+1], gaussOct[l]}
+}
+
+func (d dogLayer) at(x, y int) float32 {
+	i := y*d.hi.W + x
+	return d.hi.Pix[i] - d.lo.Pix[i]
 }
 
 // adjustLocalExtremum refines the extremum location with up to five
 // Newton iterations over (x, y, scale) and applies the contrast and edge
-// rejection tests.
-func adjustLocalExtremum(dogOct []*imaging.FloatGray, octave, layer, x, y int, p Params) (internalKp, bool) {
+// rejection tests. DoG layer l is gaussOct[l+1] - gaussOct[l].
+func adjustLocalExtremum(gaussOct []*imaging.FloatGray, octave, layer, x, y int, p Params) (internalKp, bool) {
 	nLayers := p.NOctaveLayers
+	w, h := gaussOct[0].W, gaussOct[0].H
 	var xi, xr, xc float64
 	var contr float64
 	i := 0
 	for ; i < maxInterpSteps; i++ {
-		prev, cur, next := dogOct[layer-1], dogOct[layer], dogOct[layer+1]
+		prev, cur, next := dogOf(gaussOct, layer-1), dogOf(gaussOct, layer), dogOf(gaussOct, layer+1)
 		// Gradient.
-		dx := 0.5 * float64(cur.At(x+1, y)-cur.At(x-1, y))
-		dy := 0.5 * float64(cur.At(x, y+1)-cur.At(x, y-1))
-		ds := 0.5 * float64(next.At(x, y)-prev.At(x, y))
+		dx := 0.5 * float64(cur.at(x+1, y)-cur.at(x-1, y))
+		dy := 0.5 * float64(cur.at(x, y+1)-cur.at(x, y-1))
+		ds := 0.5 * float64(next.at(x, y)-prev.at(x, y))
 		// Hessian.
-		v2 := 2 * float64(cur.At(x, y))
-		dxx := float64(cur.At(x+1, y)+cur.At(x-1, y)) - v2
-		dyy := float64(cur.At(x, y+1)+cur.At(x, y-1)) - v2
-		dss := float64(next.At(x, y)+prev.At(x, y)) - v2
-		dxy := 0.25 * float64(cur.At(x+1, y+1)-cur.At(x-1, y+1)-cur.At(x+1, y-1)+cur.At(x-1, y-1))
-		dxs := 0.25 * float64(next.At(x+1, y)-next.At(x-1, y)-prev.At(x+1, y)+prev.At(x-1, y))
-		dys := 0.25 * float64(next.At(x, y+1)-next.At(x, y-1)-prev.At(x, y+1)+prev.At(x, y-1))
+		v2 := 2 * float64(cur.at(x, y))
+		dxx := float64(cur.at(x+1, y)+cur.at(x-1, y)) - v2
+		dyy := float64(cur.at(x, y+1)+cur.at(x, y-1)) - v2
+		dss := float64(next.at(x, y)+prev.at(x, y)) - v2
+		dxy := 0.25 * float64(cur.at(x+1, y+1)-cur.at(x-1, y+1)-cur.at(x+1, y-1)+cur.at(x-1, y-1))
+		dxs := 0.25 * float64(next.at(x+1, y)-next.at(x-1, y)-prev.at(x+1, y)+prev.at(x-1, y))
+		dys := 0.25 * float64(next.at(x, y+1)-next.at(x, y-1)-prev.at(x, y+1)+prev.at(x, y-1))
 
 		sx, sy, ss, ok := solve3(dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss, -dx, -dy, -ds)
 		if !ok {
@@ -343,15 +335,15 @@ func adjustLocalExtremum(dogOct []*imaging.FloatGray, octave, layer, x, y int, p
 		}
 		xc, xr, xi = sx, sy, ss
 		if math.Abs(xc) < 0.5 && math.Abs(xr) < 0.5 && math.Abs(xi) < 0.5 {
-			contr = float64(cur.At(x, y)) + 0.5*(dx*xc+dy*xr+ds*xi)
+			contr = float64(cur.at(x, y)) + float64(0.5*(float64(dx*xc)+float64(dy*xr)+float64(ds*xi)))
 			break
 		}
 		x += int(math.Round(xc))
 		y += int(math.Round(xr))
 		layer += int(math.Round(xi))
 		if layer < 1 || layer > nLayers ||
-			x < imgBorder || x >= cur.W-imgBorder ||
-			y < imgBorder || y >= cur.H-imgBorder {
+			x < imgBorder || x >= w-imgBorder ||
+			y < imgBorder || y >= h-imgBorder {
 			return internalKp{}, false
 		}
 	}
@@ -362,13 +354,13 @@ func adjustLocalExtremum(dogOct []*imaging.FloatGray, octave, layer, x, y int, p
 		return internalKp{}, false
 	}
 	// Edge rejection on the 2x2 spatial Hessian.
-	cur := dogOct[layer]
-	v2 := 2 * float64(cur.At(x, y))
-	dxx := float64(cur.At(x+1, y)+cur.At(x-1, y)) - v2
-	dyy := float64(cur.At(x, y+1)+cur.At(x, y-1)) - v2
-	dxy := 0.25 * float64(cur.At(x+1, y+1)-cur.At(x-1, y+1)-cur.At(x+1, y-1)+cur.At(x-1, y-1))
+	cur := dogOf(gaussOct, layer)
+	v2 := 2 * float64(cur.at(x, y))
+	dxx := float64(cur.at(x+1, y)+cur.at(x-1, y)) - v2
+	dyy := float64(cur.at(x, y+1)+cur.at(x, y-1)) - v2
+	dxy := 0.25 * float64(cur.at(x+1, y+1)-cur.at(x-1, y+1)-cur.at(x+1, y-1)+cur.at(x-1, y-1))
 	tr := dxx + dyy
-	det := dxx*dyy - dxy*dxy
+	det := float64(dxx*dyy) - float64(dxy*dxy)
 	e := p.EdgeThreshold
 	if det <= 0 || tr*tr*e >= (e+1)*(e+1)*det {
 		return internalKp{}, false
@@ -381,7 +373,7 @@ func adjustLocalExtremum(dogOct []*imaging.FloatGray, octave, layer, x, y int, p
 		octave:   octave,
 		layer:    layer,
 		sclOctv:  sclOctv,
-		size:     sclOctv * float32(math.Pow(2, float64(octave))) * 2,
+		size:     float32(sclOctv*float32(math.Pow(2, float64(octave)))) * 2,
 		response: float32(math.Abs(contr)),
 	}, true
 }
@@ -412,7 +404,7 @@ func solve3(a11, a12, a13, a21, a22, a23, a31, a32, a33, b1, b2, b3 float64) (x1
 			}
 			f := m[r][col] / m[col][col]
 			for c := col; c < 4; c++ {
-				m[r][c] -= f * m[col][c]
+				m[r][c] -= float64(f * m[col][c])
 			}
 		}
 	}
@@ -430,7 +422,7 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 	if radius < 1 {
 		radius = 1
 	}
-	sigma := orientSigmaFac * float64(kp.sclOctv)
+	sigma := float64(orientSigmaFac * float64(kp.sclOctv))
 	expDenom := 2 * sigma * sigma
 	x0, y0 := int(math.Round(float64(kp.x))), int(math.Round(float64(kp.y)))
 	lo, hi := max(-radius, 1-x0), min(radius, img.W-2-x0)
@@ -451,15 +443,15 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 		for i, ori := range g.ori[:ns] {
 			bin := int(math.Round(float64(orientBins) * (ori + math.Pi) / (2 * math.Pi)))
 			bin = ((bin % orientBins) + orientBins) % orientBins
-			hist[bin] += g.wgt[i] * g.mag[i]
+			hist[bin] += float64(g.wgt[i] * g.mag[i])
 		}
 	}
 	// Circular smoothing with the [1 4 6 4 1]/16 kernel.
 	var smooth [orientBins]float64
 	for i := 0; i < orientBins; i++ {
-		smooth[i] = (hist[(i-2+orientBins)%orientBins]+hist[(i+2)%orientBins])*(1.0/16) +
-			(hist[(i-1+orientBins)%orientBins]+hist[(i+1)%orientBins])*(4.0/16) +
-			hist[i]*(6.0/16)
+		smooth[i] = float64((hist[(i-2+orientBins)%orientBins]+hist[(i+2)%orientBins])*(1.0/16)) +
+			float64((hist[(i-1+orientBins)%orientBins]+hist[(i+1)%orientBins])*(4.0/16)) +
+			float64(hist[i]*(6.0/16))
 	}
 	maxV := 0.0
 	for _, v := range smooth {
@@ -482,7 +474,7 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 		// Parabolic interpolation of the peak bin.
 		bin := float64(i) + 0.5*(smooth[l]-smooth[r])/(smooth[l]-2*smooth[i]+smooth[r])
 		bin = math.Mod(bin+float64(orientBins), float64(orientBins))
-		angle := bin*(2*math.Pi/float64(orientBins)) - math.Pi
+		angle := float64(bin*(2*math.Pi/float64(orientBins))) - math.Pi
 		if angle < 0 {
 			angle += 2 * math.Pi
 		}
@@ -500,8 +492,14 @@ func appendOrientations(dst []internalKp, gaussOct []*imaging.FloatGray, kp inte
 
 // histIdx flattens the (row, col, orientation) coordinates of the
 // descriptor histogram, whose guard-binned extent is fixed by the
-// descWidth/descBins constants.
-func histIdx(r, c, o int) int { return (r*(descWidth+2)+c)*(descBins+2) + o }
+// descWidth/descBins constants: a step of one row or one column moves
+// the index by rowStep or colStep.
+func histIdx(r, c, o int) int { return r*rowStep + c*colStep + o }
+
+const (
+	colStep = descBins + 2
+	rowStep = (descWidth + 2) * colStep
+)
 
 // computeDescriptor writes the 128-d descriptor for the keypoint, from
 // its octave's Gaussian image, into desc, a row of the set's matrix.
@@ -513,7 +511,7 @@ func histIdx(r, c, o int) int { return (r*(descWidth+2)+c)*(descBins+2) + o }
 // gradient kernel once, and scatters them in dx order.
 func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float32, g *gradRow) {
 	img := gauss[kp.octave][kp.layer]
-	d, n := descWidth, descBins
+	const d, n = descWidth, descBins
 	histWidth := descSclFactor * float64(kp.sclOctv)
 	radius := int(math.Round(histWidth * math.Sqrt2 * (float64(d) + 1) * 0.5))
 	// Clip the radius to the image diagonal.
@@ -533,26 +531,26 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 	// lie within d/2+1/2 cells of the centre. lim is that bound in
 	// pixels, widened by a relative 1e-9, far above the rounding of the
 	// test's float64 expressions.
-	lim := (float64(d)/2 + 0.5) * histWidth * (1 + 1e-9)
+	lim := float64((float64(d)/2 + 0.5) * histWidth * (1 + 1e-9))
 	for dy := -radius; dy <= radius; dy++ {
 		y := y0 + dy
 		if y <= 0 || y >= img.H-1 {
 			continue
 		}
-		lo, hi := stripSpan(max(-radius, 1-x0), min(radius, img.W-2-x0), cosA, sinA*float64(dy), lim)
-		lo, hi = stripSpan(lo, hi, -sinA, cosA*float64(dy), lim)
+		lo, hi := stripSpan(max(-radius, 1-x0), min(radius, img.W-2-x0), cosA, float64(sinA*float64(dy)), lim)
+		lo, hi = stripSpan(lo, hi, -sinA, float64(cosA*float64(dy)), lim)
 		up, row, down := rows3(img, y)
 		ns := 0
 		for dx := lo; dx <= hi; dx++ {
 			// Rotated coordinates normalised to histogram cells.
-			rotX := (cosA*float64(dx) + sinA*float64(dy)) / histWidth
-			rotY := (-sinA*float64(dx) + cosA*float64(dy)) / histWidth
+			rotX := (float64(cosA*float64(dx)) + float64(sinA*float64(dy))) / histWidth
+			rotY := (float64(-sinA*float64(dx)) + float64(cosA*float64(dy))) / histWidth
 			rBin := rotY + float64(d)/2 - 0.5
 			cBin := rotX + float64(d)/2 - 0.5
 			if rBin <= -1 || rBin >= float64(d) || cBin <= -1 || cBin >= float64(d) {
 				continue
 			}
-			g.set(ns, up, row, down, x0+dx, -(rotX*rotX+rotY*rotY)/expDenom)
+			g.set(ns, up, row, down, x0+dx, -(float64(rotX*rotX)+float64(rotY*rotY))/expDenom)
 			g.rBin[ns], g.cBin[ns] = rBin, cBin
 			ns++
 		}
@@ -565,7 +563,7 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 			for ori >= 2*math.Pi {
 				ori -= 2 * math.Pi
 			}
-			oBin := ori * binsPerRad
+			oBin := float64(ori * binsPerRad)
 			v := mag * g.wgt[i]
 			rBin, cBin := g.rBin[i], g.cBin[i]
 
@@ -577,18 +575,22 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 			ob := oBin - float64(o0)
 
 			// Trilinear distribution into 8 cells, each taking
-			// v*rw*cw*ow. The window test keeps rBin and cBin in (-1, d)
-			// and ori is in [0, 2π), so every cell lies inside the
-			// guard-binned histogram.
-			oLo, oHi := o0%n, (o0+1)%n
-			for ri, rw := range [2]float64{1 - rb, rb} {
-				for ci, cw := range [2]float64{1 - cb, cb} {
-					cell := hist[histIdx(r0+ri+1, c0+ci+1, 0):][:n]
-					vrc := v * rw * cw
-					cell[oLo] += vrc * (1 - ob)
-					cell[oHi] += vrc * ob
-				}
-			}
+			// v*rw*cw*ow, from one base index. The window test keeps
+			// rBin and cBin in (-1, d), and ori is in [0, 2π), so o0 is
+			// in [0, n] and every cell lies inside the guard-binned
+			// histogram. n is a power of two.
+			cell := hist[histIdx(r0+1, c0+1, 0):][:rowStep+colStep+n]
+			oLo, oHi := o0&(n-1), (o0+1)&(n-1)
+			v0, v1 := v*(1-rb), v*rb
+			v00, v01, v10, v11 := v0*(1-cb), v0*cb, v1*(1-cb), v1*cb
+			cell[oLo] += float64(v00 * (1 - ob))
+			cell[oHi] += float64(v00 * ob)
+			cell[colStep+oLo] += float64(v01 * (1 - ob))
+			cell[colStep+oHi] += float64(v01 * ob)
+			cell[rowStep+oLo] += float64(v10 * (1 - ob))
+			cell[rowStep+oHi] += float64(v10 * ob)
+			cell[rowStep+colStep+oLo] += float64(v11 * (1 - ob))
+			cell[rowStep+colStep+oHi] += float64(v11 * ob)
 		}
 	}
 
@@ -614,7 +616,7 @@ func computeDescriptor(gauss [][]*imaging.FloatGray, kp internalKp, desc []float
 func stripSpan(lo, hi int, a, b, lim float64) (int, int) {
 	const flat = 1e-6
 	if math.Abs(a) < flat {
-		if math.Abs(b)-flat*float64(max(-lo, hi)) >= lim {
+		if math.Abs(b)-float64(flat*float64(max(-lo, hi))) >= lim {
 			return 0, -1
 		}
 		return lo, hi
@@ -637,7 +639,7 @@ func stripSpan(lo, hi int, a, b, lim float64) (int, int) {
 func normalizeDescriptor(desc []float32) {
 	var norm float64
 	for _, v := range desc {
-		norm += float64(v) * float64(v)
+		norm += float64(float64(v) * float64(v))
 	}
 	norm = math.Sqrt(norm)
 	if norm < 1e-12 {
@@ -648,7 +650,7 @@ func normalizeDescriptor(desc []float32) {
 	}
 	norm = 0
 	for _, v := range desc {
-		norm += float64(v) * float64(v)
+		norm += float64(float64(v) * float64(v))
 	}
 	norm = math.Sqrt(norm)
 	if norm < 1e-12 {
@@ -657,11 +659,4 @@ func normalizeDescriptor(desc []float32) {
 	for i := range desc {
 		desc[i] = float32(float64(desc[i]) / norm)
 	}
-}
-
-func absf(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -55,7 +55,9 @@ func (f *FloatGray) ConvolveSeparable(kernel []float32) *FloatGray {
 
 // ConvolveSeparableIn is ConvolveSeparable with the output raster and
 // the fused-pass scratch (padded row and its tap windows, ring buffer,
-// source-row table) drawn from the arena.
+// source-row table) drawn from the arena. The output, the padded row
+// and the ring are unzeroed loans: each element is written before it
+// is read.
 //
 // Both passes are simd.AccumRows calls. The horizontal pass copies
 // each source row into pad with replicated edge values, so pad[x+i]
@@ -65,43 +67,45 @@ func (f *FloatGray) ConvolveSeparable(kernel []float32) *FloatGray {
 func (f *FloatGray) ConvolveSeparableIn(a *arena.Arena, kernel []float32) *FloatGray {
 	r := len(kernel) / 2
 	k := len(kernel)
-	out := NewFloatGrayIn(a, f.W, f.H)
 	w, h := f.W, f.H
-	if w == 0 || h == 0 {
-		return out
-	}
-	pad := arena.Slice[float32](a, w+k-1)
+	out := newFloatGrayHeaderIn(a, w, h)
+	out.Pix = arena.Unzeroed(a, w*h)
+	pad := arena.Unzeroed(a, w+k-1)
 	taps := arena.Slice[[]float32](a, k)
 	for i := range taps {
 		taps[i] = pad[i : i+w]
 	}
 	// ring holds the last k horizontally-convolved rows; row j lives at
-	// slot j%k, and the window [y-r, y+r] never exceeds k rows.
-	ring := arena.Slice[float32](a, k*w)
+	// slot j%k, and the window [y-r, y+r] never exceeds k rows. srcs[i]
+	// is the ring row of source row clamp(y+i-r): each output row
+	// shifts the window by one row and appends the newest.
+	ring := arena.Unzeroed(a, k*w)
 	srcs := arena.Slice[[]float32](a, k)
-	computed := -1
+	computed, slot := -1, 0
+	var newest []float32
 	for y := 0; y < h; y++ {
 		// The window's last tap reads row y+(k-1)-r (== y+r for odd
 		// kernels); using k-1-r keeps even-length kernels from
 		// computing an extra row whose ring slot would collide with
 		// the window's first row.
-		need := y + (k - 1 - r)
-		if need > h-1 {
-			need = h - 1
-		}
+		need := min(y+(k-1-r), h-1)
 		for computed < need {
 			computed++
+			newest = ring[slot*w : slot*w+w]
 			padRow(pad, f.Pix[computed*w:(computed+1)*w], r)
-			simd.AccumRows(ring[(computed%k)*w:(computed%k)*w+w], taps, kernel)
-		}
-		for i := range kernel {
-			sy := y + i - r
-			if sy < 0 {
-				sy = 0
-			} else if sy >= h {
-				sy = h - 1
+			simd.AccumRows(newest, taps, kernel)
+			if slot++; slot == k {
+				slot = 0
 			}
-			srcs[i] = ring[(sy%k)*w : (sy%k)*w+w]
+		}
+		if y == 0 {
+			for i := range srcs {
+				sy := min(max(i-r, 0), h-1) // below k, so in slot sy
+				srcs[i] = ring[sy*w : sy*w+w]
+			}
+		} else {
+			copy(srcs, srcs[1:])
+			srcs[k-1] = newest
 		}
 		simd.AccumRows(out.Pix[y*w:(y+1)*w], srcs, kernel)
 	}
@@ -223,20 +227,4 @@ func sobelClamped(f, gx, gy *FloatGray, x, y int) {
 	p22 := f.AtClamped(x+1, y+1)
 	gx.Pix[y*f.W+x] = (p20 + 2*p21 + p22) - (p00 + 2*p01 + p02)
 	gy.Pix[y*f.W+x] = (p02 + 2*p12 + p22) - (p00 + 2*p10 + p20)
-}
-
-// Subtract returns f - o element-wise; the rasters must be equally sized.
-func (f *FloatGray) Subtract(o *FloatGray) *FloatGray { return f.SubtractIn(nil, o) }
-
-// SubtractIn is Subtract with the result drawn from the arena.
-func (f *FloatGray) SubtractIn(a *arena.Arena, o *FloatGray) *FloatGray {
-	if f.W != o.W || f.H != o.H {
-		panic("imaging: Subtract size mismatch")
-	}
-	out := NewFloatGrayIn(a, f.W, f.H)
-	p, q, dst := f.Pix, o.Pix[:len(f.Pix)], out.Pix[:len(f.Pix)]
-	for i := range p {
-		dst[i] = p[i] - q[i]
-	}
-	return out
 }

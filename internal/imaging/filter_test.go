@@ -115,23 +115,6 @@ func TestSobelGradients(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	a := NewFloatGray(3, 3)
-	b := NewFloatGray(3, 3)
-	a.Set(1, 1, 10)
-	b.Set(1, 1, 4)
-	d := a.Subtract(b)
-	if d.At(1, 1) != 6 {
-		t.Errorf("Subtract = %v", d.At(1, 1))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("size mismatch did not panic")
-		}
-	}()
-	a.Subtract(NewFloatGray(2, 2))
-}
-
 func TestIntegralBoxSum(t *testing.T) {
 	g := NewGray(4, 4)
 	for i := range g.Pix {

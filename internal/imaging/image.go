@@ -292,12 +292,19 @@ func NewFloatGray(w, h int) *FloatGray { return NewFloatGrayIn(nil, w, h) }
 // NewFloatGrayIn is NewFloatGray with the header and pixel buffer drawn
 // from the arena (nil falls back to the heap).
 func NewFloatGrayIn(a *arena.Arena, w, h int) *FloatGray {
+	f := newFloatGrayHeaderIn(a, w, h)
+	f.Pix = arena.Slice[float32](a, w*h)
+	return f
+}
+
+// newFloatGrayHeaderIn returns a w x h header drawn from the arena,
+// without a pixel buffer.
+func newFloatGrayHeaderIn(a *arena.Arena, w, h int) *FloatGray {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("imaging: invalid image size %dx%d", w, h))
 	}
 	f := arena.NewOf[FloatGray](a)
 	f.W, f.H = w, h
-	f.Pix = arena.Slice[float32](a, w*h)
 	return f
 }
 

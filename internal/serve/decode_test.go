@@ -8,6 +8,7 @@ import (
 	"image/png"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -47,6 +48,11 @@ func TestDecodeAllocsIndependentOfSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects at random")
 	}
+	// Both counts are process-wide. A GC cycle inside the measured runs
+	// adds allocations the decoder does not make (sync.Pool re-pinning
+	// its per-P slots, the runtime's cleanup of unique maps), so the
+	// collector stays off while the gate counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, size := range [][2]int{{64, 64}, {320, 240}} {
 		body := encodeRGBA(t, size[0], size[1])
 		decode := func() {

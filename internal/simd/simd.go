@@ -1,19 +1,26 @@
 // Package simd holds the vector kernels behind the hot loops: the
 // weighted row sum that runs both passes of the separable Gaussian
 // convolution, the flat descriptor index's two 2-NN scans, one over
-// float rows and one over binary rows, and SIFT's per-sample gradient
-// math. Each kernel is an amd64 AVX2 assembly routine beside a pure-Go
-// twin. The choice is made once, at package init, from CPUID (AVX2 and
-// FMA present and YMM state enabled by the OS); every other CPU and
-// GOARCH runs the Go twin, which is also the test oracle for the
-// assembly.
+// float rows and one over binary rows, SIFT's extrema test over the
+// difference-of-Gaussian (DoG) values of four Gaussian rows, and its
+// per-sample gradient math. Each kernel is an amd64 AVX2 assembly
+// routine beside a pure-Go twin. The choice is made once, at package
+// init, from CPUID (AVX2 and FMA present and YMM state enabled by the
+// OS); every other CPU and GOARCH runs the Go twin, which is also the
+// test oracle for the assembly.
 //
 // The two paths are bit-identical. In the float32 kernels every SIMD
 // lane runs exactly one scalar accumulator chain of the Go twin: the
 // same operands in the same order, starting from +0, with a separate
 // multiply and add. They use no FMA, whose single rounding would
 // change bits. The binary kernel's distances are integers, so any
-// summation order gives the same result. The gradient kernel's twin is
+// summation order gives the same result. The extrema kernel computes
+// each DoG value with one float32 subtraction, as the scalar test does,
+// and compares with the scalar test's own IEEE predicates: the contrast
+// test !(|v| <= thr) is NLE_UQ, and the neighbour test n > v is GT_OQ
+// after both sides' signs flip wherever v <= 0, which turns n < v into
+// -n > -v exactly. So NaN, ±Inf and ±0 land where the Go twin puts them
+// and no block needs the twin. The gradient kernel's twin is
 // a loop of math.Hypot, math.Atan2 and math.Exp calls, and each of its
 // float64 lanes runs the operation sequence those functions run on
 // amd64: its exp lanes fuse exactly where math.Exp's FMA path does.
@@ -153,6 +160,90 @@ var noneLanes = [HammingLanes]uint64{math.MaxUint32, math.MaxUint32, math.MaxUin
 func GradientSamples(mag, ori, wgt, gx, gy, arg []float64) {
 	n := len(mag)
 	gradientSamples(mag, ori[:n], wgt[:n], gx[:n], gy[:n], arg[:n])
+}
+
+// ExtremaMask runs the difference-of-Gaussian (DoG) extremum test on
+// n columns of one row, reading the DoG values straight from the four
+// Gaussian layers g0 to g3 that span DoG layers prev = g1-g0, cur =
+// g2-g1 and next = g3-g2, each difference the float32 subtraction a
+// stored DoG raster would hold. Each g slice starts one row above and
+// one column left of the row's first tested pixel and has row stride
+// stride, so column i's value is at stride+1+i and its 3x3 block spans
+// rows 0 to 2 and offsets i to i+2; each must hold 2*stride+n+2
+// values.
+//
+// Bit i%8 of mask[i/8] is set exactly where cur's value v passes
+// !(|v| <= thr) and no other value n of the 3x3x3 block has n > v (for
+// v > 0) or n < v (otherwise). Those are IEEE predicates, so NaN, ±Inf
+// and ±0 fall where the scalar test puts them: a NaN v passes, a NaN
+// neighbour never rejects. Bits past n in the last byte are zero.
+//
+//snmatch:noalloc
+func ExtremaMask(mask []byte, g0, g1, g2, g3 []float32, stride, n int, thr float32) {
+	mask = mask[:(n+7)/8]
+	span := 2*stride + n + 2
+	extremaMask(mask, g0[:span], g1[:span], g2[:span], g3[:span], stride, n, thr)
+}
+
+// extremaMaskGo is ExtremaMask's Go twin, the scalar test column by
+// column: the contrast test, then cur's ring, then prev's and next's
+// blocks.
+func extremaMaskGo(mask []byte, g0, g1, g2, g3 []float32, stride, n int, thr float32) {
+	clear(mask)
+	for i := 0; i < n; i++ {
+		c := stride + 1 + i
+		v := g2[c] - g1[c]
+		if absf(v) <= thr {
+			continue
+		}
+		if isExtremum(g0, g1, g2, g3, i, stride, v) {
+			mask[i/8] |= 1 << (i % 8)
+		}
+	}
+}
+
+// isExtremum reports whether v, the cur value of column i, is an
+// extremum of its 3x3x3 block: for v > 0 no neighbour exceeds it,
+// otherwise none falls below it. cur's ring goes first, its own row
+// first; the order of the comparisons cannot change the result.
+func isExtremum(g0, g1, g2, g3 []float32, i, stride int, v float32) bool {
+	c := stride + 1 + i
+	ring := [8]int{c - 1, c + 1, i, i + 1, i + 2, c + stride - 1, c + stride, c + stride + 1}
+	if v > 0 {
+		for _, j := range ring {
+			if g2[j]-g1[j] > v {
+				return false
+			}
+		}
+		for r := i; r <= i+2*stride; r += stride {
+			for j := r; j < r+3; j++ {
+				if g1[j]-g0[j] > v || g3[j]-g2[j] > v {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, j := range ring {
+		if g2[j]-g1[j] < v {
+			return false
+		}
+	}
+	for r := i; r <= i+2*stride; r += stride {
+		for j := r; j < r+3; j++ {
+			if g1[j]-g0[j] < v || g3[j]-g2[j] < v {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func absf(v float32) float32 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // gradientSamplesGo is GradientSamples' Go twin.

@@ -66,6 +66,18 @@ func gradientSamples(mag, ori, wgt, gx, gy, arg []float64) {
 	}
 }
 
+func extremaMask(mask []byte, g0, g1, g2, g3 []float32, stride, n int, thr float32) {
+	done := 0
+	if useAVX2 {
+		done = n &^ 7
+		extremaMaskAVX2(mask[:done/8], g0, g1, g2, g3, stride, thr)
+	}
+	if done < n {
+		// The columns past the last full block of eight.
+		extremaMaskGo(mask[done/8:], g0[done:], g1[done:], g2[done:], g3[done:], stride, n-done, thr)
+	}
+}
+
 // The assembly kernels trust their callers: every slice is already
 // resliced to the exact length read, and dim > 0.
 
@@ -86,3 +98,9 @@ func hammingLane2NNAVX2(s1, s2 *[HammingLanes]uint64, qt, rows []uint64)
 
 //go:noescape
 func gradientSamplesAVX2(mag, ori, wgt, gx, gy, arg []float64) (done int)
+
+// extremaMaskAVX2 fills one mask byte per block of eight columns, as
+// many blocks as mask holds.
+//
+//go:noescape
+func extremaMaskAVX2(mask []byte, g0, g1, g2, g3 []float32, stride int, thr float32)

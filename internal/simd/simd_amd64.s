@@ -588,3 +588,102 @@ graddone:
 	MOVQ AX, done+144(FP)
 	VZEROUPPER
 	RET
+
+// REJECT clears the lanes of the survivor mask Y1 whose neighbour, the
+// DoG value hi-lo, exceeds v after both take the sign flip Y2:
+// n^flip > v^flip (GT_OQ), which is n > v for v > 0 and n < v
+// otherwise. A NaN on either side compares false and rejects nothing.
+#define REJECT(hi, lo) \
+	VMOVUPS hi, Y3; \
+	VSUBPS  lo, Y3, Y3; \
+	VXORPS  Y2, Y3, Y3; \
+	VCMPPS  $0x1e, Y0, Y3, Y3; \
+	VANDNPS Y1, Y3, Y1
+
+// SURVIVORS leaves the block with a zero mask byte once no lane of Y1
+// survives.
+#define SURVIVORS \
+	VMOVMSKPS Y1, DX; \
+	TESTL     DX, DX; \
+	JZ        exstore
+
+// func extremaMaskAVX2(mask []byte, g0, g1, g2, g3 []float32, stride int, thr float32)
+//
+// Eight columns per block, one mask byte each. R8-R11 walk the four
+// Gaussian layers at the block's top-left corner, BX is the row stride
+// in bytes, so a neighbour at row r and offset o of layer g is
+// 4*o(g)(BX*r). v = g2-g1 at row 1, offset 1. The stages run the
+// contrast test, cur's same-row neighbours, the rest of cur's ring,
+// prev (g1-g0) and next (g3-g2), and leave as soon as no lane
+// survives.
+TEXT ·extremaMaskAVX2(SB), NOSPLIT, $0-132
+	MOVQ         mask_base+0(FP), DI
+	MOVQ         mask_len+8(FP), CX
+	MOVQ         g0_base+24(FP), R8
+	MOVQ         g1_base+48(FP), R9
+	MOVQ         g2_base+72(FP), R10
+	MOVQ         g3_base+96(FP), R11
+	MOVQ         stride+120(FP), BX
+	SHLQ         $2, BX
+	VBROADCASTSS thr+128(FP), Y13
+	VPCMPEQD     Y15, Y15, Y15
+	VPSLLD       $31, Y15, Y14 // sign bits
+	VPSRLD       $1, Y15, Y15  // |x| mask
+	VXORPS       Y12, Y12, Y12 // 0
+	TESTQ        CX, CX
+	JZ           exdone
+
+exblock:
+	VMOVUPS   4(R10)(BX*1), Y0
+	VSUBPS    4(R9)(BX*1), Y0, Y0 // v
+	VANDPS    Y15, Y0, Y1
+	VCMPPS    $0x16, Y13, Y1, Y1  // !(|v| <= thr), NLE_UQ
+	SURVIVORS
+	VCMPPS    $0x1e, Y12, Y0, Y2  // v > 0, GT_OQ
+	VANDNPS   Y14, Y2, Y2         // flip the sign where !(v > 0)
+	VXORPS    Y2, Y0, Y0
+
+	REJECT(0(R10)(BX*1), 0(R9)(BX*1))
+	REJECT(8(R10)(BX*1), 8(R9)(BX*1))
+	SURVIVORS
+	REJECT(0(R10), 0(R9))
+	REJECT(4(R10), 4(R9))
+	REJECT(8(R10), 8(R9))
+	REJECT(0(R10)(BX*2), 0(R9)(BX*2))
+	REJECT(4(R10)(BX*2), 4(R9)(BX*2))
+	REJECT(8(R10)(BX*2), 8(R9)(BX*2))
+	SURVIVORS
+	REJECT(0(R9), 0(R8))
+	REJECT(4(R9), 4(R8))
+	REJECT(8(R9), 8(R8))
+	REJECT(0(R9)(BX*1), 0(R8)(BX*1))
+	REJECT(4(R9)(BX*1), 4(R8)(BX*1))
+	REJECT(8(R9)(BX*1), 8(R8)(BX*1))
+	REJECT(0(R9)(BX*2), 0(R8)(BX*2))
+	REJECT(4(R9)(BX*2), 4(R8)(BX*2))
+	REJECT(8(R9)(BX*2), 8(R8)(BX*2))
+	SURVIVORS
+	REJECT(0(R11), 0(R10))
+	REJECT(4(R11), 4(R10))
+	REJECT(8(R11), 8(R10))
+	REJECT(0(R11)(BX*1), 0(R10)(BX*1))
+	REJECT(4(R11)(BX*1), 4(R10)(BX*1))
+	REJECT(8(R11)(BX*1), 8(R10)(BX*1))
+	REJECT(0(R11)(BX*2), 0(R10)(BX*2))
+	REJECT(4(R11)(BX*2), 4(R10)(BX*2))
+	REJECT(8(R11)(BX*2), 8(R10)(BX*2))
+	VMOVMSKPS Y1, DX
+
+exstore:
+	MOVB DX, (DI)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	INCQ DI
+	DECQ CX
+	JNZ  exblock
+
+exdone:
+	VZEROUPPER
+	RET

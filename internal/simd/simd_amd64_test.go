@@ -1,8 +1,10 @@
 package simd
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"snmatch/internal/rng"
@@ -288,4 +290,188 @@ func BenchmarkKernelGradientSamples(b *testing.B) {
 	benchKernels(b,
 		func() { gradientSamplesAVX2(mag, ori, wgt, gx, gy, arg) },
 		func() { gradientSamplesGo(mag, ori, wgt, gx, gy, arg) })
+}
+
+// extremaCase is one ExtremaMask input: four Gaussian layers of three
+// rows at the given stride, n tested columns and the contrast
+// threshold.
+type extremaCase struct {
+	g         [4][]float32
+	stride, n int
+	thr       float32
+}
+
+func newExtremaCase(stride, n int, thr float32) *extremaCase {
+	c := &extremaCase{stride: stride, n: n, thr: thr}
+	for l := range c.g {
+		c.g[l] = make([]float32, 2*stride+n+2)
+	}
+	return c
+}
+
+// dog returns the DoG value of layer l (0 prev, 1 cur, 2 next) at
+// element j, as the kernel computes it.
+func (c *extremaCase) dog(l, j int) float32 { return c.g[l+1][j] - c.g[l][j] }
+
+// extremaSpecials are the values planted as v and as each neighbour:
+// NaN, ±Inf, ±0, the smallest and largest subnormals of both signs,
+// ordinary values on both sides of v, and the contrast threshold
+// extremaThr and its neighbouring ulps at both signs.
+func extremaSpecials() []float32 {
+	const thr = extremaThr
+	sub, maxSub := math.Float32frombits(1), math.Float32frombits(0x007fffff)
+	return []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		sub, -sub, maxSub, -maxSub, 1, -1, 2, -2, 0.5, -0.5,
+		thr, math.Nextafter32(thr, 1), math.Nextafter32(thr, 0),
+		-thr, math.Nextafter32(-thr, -1), math.Nextafter32(-thr, 0),
+	}
+}
+
+const extremaThr = float32(0.375)
+
+// plant builds a row whose column j holds v = m, a strict extremum
+// over a block of +0 DoG values, and then sets the DoG value of layer
+// l at row dy and offset dx of j's block to s, exactly: every other
+// DoG value it touches reads NaN or +0, which never rejects v.
+func plant(stride, n, j int, m, s float32, l, dy, dx int) *extremaCase {
+	c := newExtremaCase(stride, n, extremaThr)
+	g0, g1, g2, g3 := c.g[0], c.g[1], c.g[2], c.g[3]
+	ctr := stride + 1 + j
+	o := ctr + dy*stride + dx
+	if l == 2 && o == ctr {
+		// v from g1, so next's centre is g3 alone.
+		g0[ctr], g1[ctr], g3[ctr] = -m, -m, s
+		return c
+	}
+	g2[ctr], g3[ctr] = m, m
+	switch {
+	case l == 1:
+		g2[o], g3[o] = s, s
+	case l == 2:
+		g3[o] = s
+	case o != ctr:
+		g1[o], g2[o], g3[o] = s, s, s
+	case s == 0 && math.Signbit(float64(s)):
+		g1[ctr] = s
+	default:
+		g0[ctr] = -s
+	}
+	return c
+}
+
+// sameFloat reports whether a and b have the same bits or are both NaN.
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+}
+
+// checkExtrema runs the Go twin, the dispatched kernel and the
+// assembly alone on c and requires the same mask bytes. Both the
+// dispatched and the assembly outputs start dirty, and the assembly
+// must not write past its last full block.
+func checkExtrema(t *testing.T, label string, c *extremaCase) []byte {
+	t.Helper()
+	nb := (c.n + 7) / 8
+	want := make([]byte, nb)
+	extremaMaskGo(want, c.g[0], c.g[1], c.g[2], c.g[3], c.stride, c.n, c.thr)
+	if c.n%8 != 0 && want[nb-1]>>(c.n%8) != 0 {
+		t.Fatalf("%s: Go twin set a bit past column %d: %08b", label, c.n, want[nb-1])
+	}
+	got := bytes.Repeat([]byte{0xff}, nb)
+	ExtremaMask(got, c.g[0], c.g[1], c.g[2], c.g[3], c.stride, c.n, c.thr)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s: dispatched mask %08b, Go twin %08b", label, got, want)
+	}
+	full := c.n / 8
+	asm := bytes.Repeat([]byte{0xa5}, full+1)
+	extremaMaskAVX2(asm[:full], c.g[0], c.g[1], c.g[2], c.g[3], c.stride, c.thr)
+	if !bytes.Equal(want[:full], asm[:full]) || asm[full] != 0xa5 {
+		t.Fatalf("%s: assembly mask %08b, Go twin %08b", label, asm, want[:full])
+	}
+	return want
+}
+
+// TestKernelExtremaMaskBitEqual compares the assembly alone, the
+// dispatched kernel and the Go twin bit for bit at widths 1 to 40, so
+// every tail length runs. Planted rows put each extremaSpecials value
+// as v and as each of the 26 neighbours of a strict extremum, at both
+// signs of v and at every lane of a block; random rows draw values
+// from a few levels, so DoG values tie, with specials sprinkled in.
+func TestKernelExtremaMaskBitEqual(t *testing.T) {
+	requireAVX2(t)
+	specials := extremaSpecials()
+	trial := 0
+	for _, s := range specials {
+		for _, m := range []float32{1, -1} {
+			for p := 0; p < 27; p++ {
+				l, dy, dx := p/9, p/3%3-1, p%3-1
+				n := 1 + trial%40
+				j := trial * 7 % n
+				trial++
+				c := plant(n+2+trial%3, n, j, m, s, l, dy, dx)
+				ctr := c.stride + 1 + j
+				v, centre := m, l == 1 && dy == 0 && dx == 0
+				if centre {
+					v = s
+				}
+				if got := c.dog(1, ctr); !sameFloat(got, v) {
+					t.Fatalf("plant(s=%v, m=%v, layer %d, %d, %d): v = %v", s, m, l, dy, dx, got)
+				}
+				if got := c.dog(l, ctr+dy*c.stride+dx); !sameFloat(got, s) {
+					t.Fatalf("plant(s=%v, m=%v, layer %d, %d, %d): planted %v", s, m, l, dy, dx, got)
+				}
+				label := fmt.Sprintf("planted s=%v m=%v layer %d (%d, %d) n=%d column %d", s, m, l, dy, dx, n, j)
+				mask := checkExtrema(t, label, c)
+				// Only v and the planted value can decide the bit.
+				wantBit := !(absf(v) <= c.thr)
+				if !centre && (m > 0 && s > m || m < 0 && s < m) {
+					wantBit = false
+				}
+				if got := mask[j/8]>>(j%8)&1 == 1; got != wantBit {
+					t.Fatalf("%s: bit %v, want %v", label, got, wantBit)
+				}
+			}
+		}
+	}
+	r := rng.New(29)
+	levels := []float32{0, 0.25, 0.5, 1, -0.5}
+	set := 0
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + trial%40
+		c := newExtremaCase(n+2+r.Intn(4), n, []float32{0, 0.25, 0.5, extremaThr}[r.Intn(4)])
+		sprinkle := trial%3 == 0
+		for _, g := range c.g {
+			for i := range g {
+				g[i] = levels[r.Intn(len(levels))]
+				if sprinkle && r.Intn(16) == 0 {
+					g[i] = specials[r.Intn(len(specials))]
+				}
+			}
+		}
+		for _, b := range checkExtrema(t, fmt.Sprintf("random trial %d n=%d", trial, n), c) {
+			set += bits.OnesCount8(b)
+		}
+	}
+	if set == 0 {
+		t.Fatal("no random row held an extremum: the comparison is not exercised")
+	}
+}
+
+// BenchmarkKernelExtremaMask is one sweep row of a 256-wide octave
+// (SIFT's doubled 128 px base): 246 columns of SIFT-like layers whose
+// DoG values are a few times the contrast threshold.
+func BenchmarkKernelExtremaMask(b *testing.B) {
+	r := rng.New(8)
+	const w, n, thr = 256, 246, float32(0.04 * 0.5 / 3)
+	c := newExtremaCase(w, n, thr)
+	for i := range c.g[0] {
+		c.g[0][i] = float32(r.Range(0, 1))
+		for l := 1; l < 4; l++ {
+			c.g[l][i] = c.g[l-1][i] + float32(r.Range(-0.02, 0.02))
+		}
+	}
+	mask := make([]byte, (n+7)/8)
+	benchKernels(b,
+		func() { extremaMaskAVX2(mask[:n/8], c.g[0], c.g[1], c.g[2], c.g[3], w, thr) },
+		func() { extremaMaskGo(mask, c.g[0], c.g[1], c.g[2], c.g[3], w, n, thr) })
 }

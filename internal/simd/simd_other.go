@@ -17,3 +17,7 @@ func hammingLane2NN(s1, s2 *[HammingLanes]uint64, qt, rows []uint64, wpr int) {
 func gradientSamples(mag, ori, wgt, gx, gy, arg []float64) {
 	gradientSamplesGo(mag, ori, wgt, gx, gy, arg)
 }
+
+func extremaMask(mask []byte, g0, g1, g2, g3 []float32, stride, n int, thr float32) {
+	extremaMaskGo(mask, g0, g1, g2, g3, stride, n, thr)
+}
